@@ -8,8 +8,8 @@ dimension (all dimensions here are affine, for the cones).
 
 This module holds the closed-form side: ambient and expected dimensions, the
 sub/super/equiabundant trichotomy, the certified thresholds for d = 2, the
-filling bounds for d >= 3, the unbalanced range, and the classical table of
-defective Veronese double-point systems used for the m = 0 base cases.
+unbalanced range, and the classical table of defective Veronese double-point
+systems with its minimal filling count, used for the m = 0 base cases.
 """
 
 from __future__ import annotations
@@ -117,35 +117,16 @@ def r_bound(m: int, n: int) -> int:
     return (m - 2) * (m + 1) ** 2 // 2
 
 
-# (n, d) pairs whose minimal filling needs one extra point; the quadratic
-# Veronese cases are handled separately via the d = 2 rule in
-# ah_veronese_true.
-FILLING_EXCEPTIONS = frozenset({(2, 4), (3, 4), (4, 3), (4, 4)})
-
-
-def ell_h_bounds(m: int, n: int, d: int) -> tuple[int, int]:
-    """(ell, h) for d >= 3: T(m, n; 1, d; s) is known for s <= ell(m, n, d)
-    and for s >= h(n, d), where ell = floor(C(n+d,d)/(m+n+1)) and
-    h = ceil(C(n+d,d)/(n+1)).  Callers must add 1 to h when (n, d) is in
-    FILLING_EXCEPTIONS."""
-    if d < 3:
-        raise ValueError("ell/h bounds apply to d >= 3 only")
-    c = math.comb(n + d, d)
-    ell = c // (m + n + 1)
-    h = -(-c // (n + 1))
-    return ell, h
-
-
 def unbalanced_range(m: int, n: int, d: int) -> tuple[int, int] | None:
     """Open interval (lo, hi) of defective s-values when (m, n; 1, d) is
-    unbalanced, i.e. m > C(n+d, d) - d; None when balanced.
+    unbalanced, i.e. m > C(n+d, d) - n; None when balanced.
 
     In the unbalanced range the truncated expected dimension overshoots: the
     actual dimension is s (C(n+d,d) + m + 1 - s), reported by
     ``unbalanced_expected_dim``.
     """
     c = math.comb(n + d, d)
-    if m <= c - d:
+    if m <= c - n:
         return None
     lo = c - n
     hi = min(m + 1, c)

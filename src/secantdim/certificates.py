@@ -25,20 +25,22 @@ window span(f_2..f_m).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .bounds import Statement, ambient_dim, expected_dim, s_over, s_under, span_count
+from .bounds import Statement, ambient_dim, expected_dim, s_over, s_under
 from .field import (PRIMARY_PRIME, SECONDARY_PRIME, DenseMatrix, PrimeField,
                     SeededRng, derive_seed, rank, vstack)
 from .tensorspace import (Point, PointConstraint, sample_point,
                           sample_point_off_l, subspace_rows, tangent_rows,
-                          ul_indices, um_indices, y_rows)
+                          y_rows)
 
 OUTCOME_TRUE = "true"
 OUTCOME_DEFICIENT = "deficient"
 
 _DEFAULT_FIELD = PrimeField(PRIMARY_PRIME)
+# How often eval_statement_checked re-derives the seed when the two primes
+# disagree before it gives up.
+_MAX_RESEEDS = 3
 
 
 @dataclass(frozen=True)
@@ -61,16 +63,15 @@ class Verdict:
 class ConfigBlock:
     """One block of rows: a tangent space, a V-slice, or a coordinate block.
 
-    role is one of "tangent", "y_span", "subspace_block".  For point blocks
-    the constraint fixes the sampling window; off_l additionally rejects
-    samples lying over the first codim-2 window.  For subspace blocks,
-    indices lists the W-coordinates of the window.
+    role is one of "tangent", "y_span", "subspace_block".  The constraint
+    names the window: point blocks sample on it, subspace blocks span
+    V (x) S_d of it.  off_l additionally rejects point samples lying over
+    the first codim-2 window.
     """
 
     role: str
     constraint: PointConstraint = PointConstraint.GENERIC
     off_l: bool = False
-    indices: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -80,14 +81,12 @@ class Configuration:
     d: int
     blocks: tuple[ConfigBlock, ...]
 
-    def column_count(self) -> int:
-        return (self.m + 1) * math.comb(self.n + self.d, self.d)
-
     def realize(self, rng: SeededRng, field: PrimeField) -> DenseMatrix:
         mats = []
         for blk in self.blocks:
             if blk.role == "subspace_block":
-                mats.append(subspace_rows(blk.indices, self.m, self.n, self.d, field))
+                mats.append(subspace_rows(blk.constraint.window(self.n),
+                                          self.m, self.n, self.d, field))
             elif blk.role == "tangent":
                 pt = self._sample(blk, rng)
                 mats.append(tangent_rows(pt, self.m, self.n, self.d, field))
@@ -97,7 +96,7 @@ class Configuration:
             else:
                 raise ValueError(f"unknown block role {blk.role!r}")
         out = vstack(mats)
-        if out.cols != self.column_count():
+        if out.cols != ambient_dim(self.m, self.n, self.d):
             raise AssertionError("configuration blocks disagree on columns")
         return out
 
@@ -113,16 +112,13 @@ def statement_config(st: Statement) -> Configuration:
     return Configuration(st.m, st.n, st.d, blocks)
 
 
-def statement_matrix(st: Statement, rng: SeededRng, field: PrimeField) -> DenseMatrix:
-    """The stacked generic-configuration matrix for one trial of a statement."""
-    return statement_config(st).realize(rng, field)
-
-
 def _measure(config: Configuration, expected: int, seed: int, trials: int,
-             field: PrimeField, label: tuple) -> Verdict:
-    """Evaluate a configuration up to `trials` times, stopping at success."""
+             field: PrimeField | None, label: tuple) -> Verdict:
+    """Evaluate a configuration up to `trials` times, stopping at success.
+    The field defaults to F_p for the primary prime."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    field = field or _DEFAULT_FIELD
     best = -1
     for trial in range(trials):
         rng = SeededRng(derive_seed(seed, *label, trial), field)
@@ -145,34 +141,28 @@ def eval_statement(st: Statement, seed: int = 0, trials: int = 3,
     A `true` outcome is a certificate.  A `deficient` outcome means every
     trial fell short of the expected dimension.
     """
-    field = field or _DEFAULT_FIELD
     expected = expected_dim(st)
     if st.s == 0 and st.t == 0:
         return Verdict(0, 0, 1, OUTCOME_TRUE)
-    config = statement_config(st)
-    label = ("S",) + st.key
-    verdict = _measure(config, expected, seed, trials, field, label)
-    assert verdict.rank <= span_count(st)
-    return verdict
+    return _measure(statement_config(st), expected, seed, trials, field,
+                    ("S",) + st.key)
 
 
 def eval_statement_checked(st: Statement, seed: int = 0, trials: int = 3,
-                           field: PrimeField | None = None,
-                           cross_field: PrimeField | None = None,
-                           max_reseeds: int = 3) -> Verdict:
+                           field: PrimeField | None = None) -> Verdict:
     """Like eval_statement, but a deficient verdict must be reproduced with
-    the same rank over a second prime.  On disagreement both measurements are
-    redone with a re-derived seed; persistent disagreement raises."""
-    field = field or _DEFAULT_FIELD
-    if cross_field is None:
-        alt = SECONDARY_PRIME if field.p != SECONDARY_PRIME else PRIMARY_PRIME
-        cross_field = PrimeField(alt)
+    the same rank over a second prime: the secondary prime, or the primary
+    one when field is already the secondary.  On disagreement both
+    measurements are redone with a re-derived seed; persistent disagreement
+    raises."""
+    on_secondary = field is not None and field.p == SECONDARY_PRIME
+    second = PrimeField(PRIMARY_PRIME if on_secondary else SECONDARY_PRIME)
     attempt_seed = seed
-    for attempt in range(max_reseeds + 1):
+    for attempt in range(_MAX_RESEEDS + 1):
         v1 = eval_statement(st, attempt_seed, trials, field)
         if v1.outcome == OUTCOME_TRUE:
             return v1
-        v2 = eval_statement(st, attempt_seed, trials, cross_field)
+        v2 = eval_statement(st, attempt_seed, trials, second)
         if v2.rank == v1.rank:
             return v1
         attempt_seed = derive_seed(seed, "reseed", attempt + 1)
@@ -185,8 +175,8 @@ def q_config(m: int, n: int) -> Configuration:
         raise ValueError("Q certificate needs n >= 3 (disjoint windows)")
     if m < 1:
         raise ValueError("Q certificate needs m >= 1")
-    blocks = (ConfigBlock("subspace_block", indices=tuple(ul_indices(n))),
-              ConfigBlock("subspace_block", indices=tuple(um_indices(n))))
+    blocks = (ConfigBlock("subspace_block", PointConstraint.ON_L),
+              ConfigBlock("subspace_block", PointConstraint.ON_M))
     blocks += tuple(ConfigBlock("tangent", PointConstraint.ON_L) for _ in range(m + 1))
     blocks += tuple(ConfigBlock("tangent", PointConstraint.ON_M) for _ in range(m + 1))
     return Configuration(m, n, 2, blocks)
@@ -195,7 +185,6 @@ def q_config(m: int, n: int) -> Configuration:
 def certify_Q(m: int, n: int, seed: int = 0, trials: int = 3,
               field: PrimeField | None = None) -> Verdict:
     """Both coordinate blocks plus m+1 tangents on each window span everything."""
-    field = field or _DEFAULT_FIELD
     expected = ambient_dim(m, n, 2)
     return _measure(q_config(m, n), expected, seed, trials, field, ("Q", m, n))
 
@@ -204,7 +193,7 @@ def _r_config(m: int, n: int, s: int) -> Configuration:
     on_l = s - (m + 1)
     if on_l < 0:
         raise ValueError(f"certificate needs s >= m + 1, got s = {s}")
-    blocks = (ConfigBlock("subspace_block", indices=tuple(ul_indices(n))),)
+    blocks = (ConfigBlock("subspace_block", PointConstraint.ON_L),)
     blocks += tuple(ConfigBlock("tangent", PointConstraint.ON_L) for _ in range(on_l))
     blocks += tuple(ConfigBlock("tangent", off_l=True) for _ in range(m + 1))
     return Configuration(m, n, 2, blocks)
@@ -221,7 +210,6 @@ def certify_R_under(m: int, n: int, seed: int = 0, trials: int = 3,
     """First window block, s_under(m,n)-(m+1) tangents on it, m+1 off it."""
     if not (1 <= m <= n):
         raise ValueError("R_under certificate needs 1 <= m <= n")
-    field = field or _DEFAULT_FIELD
     config = _r_config(m, n, s_under(m, n))
     return _measure(config, r_under_expected(m, n), seed, trials, field,
                     ("Runder", m, n))
@@ -232,7 +220,6 @@ def certify_R_over(m: int, n: int, seed: int = 0, trials: int = 3,
     """Same shape at the superabundant threshold; expected full."""
     if m < 2 or n < 2:
         raise ValueError("R_over certificate needs m >= 2 and n >= 2")
-    field = field or _DEFAULT_FIELD
     config = _r_config(m, n, s_over(m, n))
     return _measure(config, ambient_dim(m, n, 2), seed, trials, field,
                     ("Rover", m, n))
@@ -243,7 +230,6 @@ def certify_R2n(n: int, seed: int = 0, trials: int = 3,
     """The m = 2, n odd configuration at s = 3*floor(n/2)+2; expected full."""
     if n < 3 or n % 2 == 0:
         raise ValueError("R2n certificate needs odd n >= 3")
-    field = field or _DEFAULT_FIELD
     config = _r_config(2, n, 3 * (n // 2) + 2)
     return _measure(config, ambient_dim(2, n, 2), seed, trials, field, ("R2n", n))
 
@@ -263,7 +249,7 @@ def witness_Rmm(m: int, field: PrimeField | None = None) -> bool:
     if field.p <= m:
         raise ValueError("field characteristic must exceed m")
     n = m
-    mats = [subspace_rows(tuple(range(2, m + 1)), m, n, 2, field)]
+    mats = [subspace_rows(PointConstraint.ON_M.window(m), m, n, 2, field)]
     for i in range(m + 1):
         u = tuple(1 if j == i else 0 for j in range(m + 1))
         v = [0] * (n + 1)

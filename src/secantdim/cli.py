@@ -4,8 +4,7 @@ Subcommands:
 
 * dim      -- measure one statement S(m, n; 1, d; s; t).
 * scan     -- sweep a grid of (m, n, s) cells for defects.
-* certify  -- run one named certificate (Q, Runder, Rover, R2n, witnessRmm,
-              strassen).
+* certify  -- run one named certificate (Q, Runder, Rover, R2n, witnessRmm).
 * prove    -- search for an inductive proof tree; prints it as JSON.
 * strassen -- build the skew matrix for a (1, 2) tensor on P^2 x P^(2k+1)
               and report its rank and Pfaffian.
@@ -21,11 +20,11 @@ import json
 import sys
 
 from .bounds import Statement
-from .certificates import (OUTCOME_TRUE, certify_Q, certify_R2n,
-                           certify_R_over, certify_R_under,
+from .certificates import (OUTCOME_DEFICIENT, OUTCOME_TRUE, certify_Q,
+                           certify_R2n, certify_R_over, certify_R_under,
                            eval_statement_checked, witness_Rmm)
 from .field import PRIMARY_PRIME, PrimeField, SeededRng, derive_seed, pfaffian, rank
-from .prover import Prover, proof_to_json
+from .prover import UNKNOWN, Prover, proof_to_json
 from .scan import records_to_csv, records_to_jsonl, run_scan, scan_summary
 from .strassen import random_points, random_tensor, slices_from_points, strassen_matrix
 
@@ -44,26 +43,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _common() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=int, default=PRIMARY_PRIME)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--trials", type=int, default=3)
-    common.add_argument("--jobs", type=int, default=1)
-    common.add_argument("--out", type=str, default=None)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    return common
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="secantdim",
                      description="dimension certificates for secant varieties "
                                  "of P^m x P^n in bidegree (1, d)")
-    common = _common()
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--prime", type=int, default=PRIMARY_PRIME)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out", type=str, default=None)
+    # subcommands that measure ranks by seeded trials
+    trials = argparse.ArgumentParser(add_help=False, parents=[common])
+    trials.add_argument("--trials", type=int, default=3)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("dim", parents=[common],
+    p = sub.add_parser("dim", parents=[trials],
                        help="measure one statement")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -71,21 +65,21 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--t", type=int, default=0)
 
-    p = sub.add_parser("scan", parents=[common],
+    p = sub.add_parser("scan", parents=[trials],
                        help="sweep a grid for defective secant varieties")
     p.add_argument("--max-m", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--cache", type=str, default=None)
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("certify", parents=[common],
+    p = sub.add_parser("certify", parents=[trials],
                        help="run one named certificate")
     p.add_argument("name", type=str)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--s", type=int, default=None)
 
-    p = sub.add_parser("prove", parents=[common],
+    p = sub.add_parser("prove", parents=[trials],
                        help="search for an inductive proof")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -129,42 +123,36 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-_CERT_PARAMS = {"Q": ("m", "n"), "Runder": ("m", "n"), "Rover": ("m", "n"),
-                "R2n": ("n",), "witnessRmm": ("m",), "strassen": ("k",)}
+# certificate name -> (required parameters, certificate function)
+_CERTS = {"Q": (("m", "n"), certify_Q),
+          "Runder": (("m", "n"), certify_R_under),
+          "Rover": (("m", "n"), certify_R_over),
+          "R2n": (("n",), certify_R2n),
+          "witnessRmm": (("m",), witness_Rmm)}
 
 
 def cmd_certify(args) -> int:
     name = args.name
-    required = _CERT_PARAMS.get(name)
-    if required is None:
+    if name not in _CERTS:
         print(f"secantdim certify: unknown certificate {name!r}", file=sys.stderr)
         return EXIT_USAGE
+    required, cert = _CERTS[name]
     missing = [p for p in required if getattr(args, p) is None]
     if missing:
         flags = ", ".join(f"--{p}" for p in missing)
         print(f"secantdim certify {name}: missing {flags}", file=sys.stderr)
         return EXIT_USAGE
+    params = {p: getattr(args, p) for p in required}
     field = PrimeField(args.prime)
-    kwargs = dict(seed=args.seed, trials=args.trials, field=field)
-    if name == "Q":
-        verdict = certify_Q(args.m, args.n, **kwargs)
-    elif name == "Runder":
-        verdict = certify_R_under(args.m, args.n, **kwargs)
-    elif name == "Rover":
-        verdict = certify_R_over(args.m, args.n, **kwargs)
-    elif name == "R2n":
-        verdict = certify_R2n(args.n, **kwargs)
-    elif name == "witnessRmm":
+    if cert is witness_Rmm:
         ok = witness_Rmm(args.m, field)
+        outcome = OUTCOME_TRUE if ok else OUTCOME_DEFICIENT
         _emit(json.dumps({"certificate": name, "m": args.m,
-                          "outcome": OUTCOME_TRUE if ok else "deficient"}) + "\n",
-              args.out)
+                          "outcome": outcome}) + "\n", args.out)
         return EXIT_OK if ok else EXIT_DEFICIENT
-    else:
-        return cmd_strassen(args)
-    payload = {"certificate": name,
-               "params": {k: v for k, v in (("m", args.m), ("n", args.n))
-                          if v is not None}}
+    verdict = cert(*params.values(), seed=args.seed, trials=args.trials,
+                   field=field)
+    payload = {"certificate": name, "params": params}
     payload.update(verdict.as_dict())
     _emit(json.dumps(payload) + "\n", args.out)
     return EXIT_OK if verdict.outcome == OUTCOME_TRUE else EXIT_DEFICIENT
@@ -178,14 +166,14 @@ def cmd_prove(args) -> int:
     if node is None:
         _emit(json.dumps({"statement": {"m": st.m, "n": st.n, "d": st.d,
                                         "s": st.s, "t": st.t},
-                          "outcome": "unknown"}) + "\n", args.out)
+                          "outcome": UNKNOWN}) + "\n", args.out)
         return EXIT_UNKNOWN
     _emit(proof_to_json(node) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_strassen(args) -> int:
-    if args.k is None or args.k < 1:
+    if args.k < 1:
         print("secantdim strassen: --k must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     field = PrimeField(args.prime)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,27 +66,6 @@ class PrimeField:
                              f"[{_MIN_MODULUS}, {_MAX_MODULUS}]")
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
-
-    def element(self, x: int) -> int:
-        return x % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
 
     def matrix(self, entries) -> "DenseMatrix":
         return DenseMatrix(entries, self)
@@ -242,16 +221,6 @@ class SeededRng:
             v = self.elements(length)
             if np.any(v != 0):
                 return v
-
-
-def random_vector(rng: SeededRng, length: int) -> np.ndarray:
-    """Uniform vector over F_p^length, conditioned on being nonzero."""
-    return rng.nonzero_vector(length)
-
-
-def random_matrix(rng: SeededRng, rows: int, cols: int) -> DenseMatrix:
-    arr = rng.elements(rows * cols).reshape(rows, cols)
-    return DenseMatrix(arr, rng.field)
 
 
 def derive_seed(root: int, *parts: int | str) -> int:

@@ -39,21 +39,21 @@ from __future__ import annotations
 
 import json
 import re
-import threading
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from .bounds import (Abundance, Statement, ambient_dim, ah_veronese_true,
-                     classify, expected_dim, min_filling_true, q_bound,
-                     s_over, s_under, span_count, unbalanced_range)
-from .certificates import (OUTCOME_TRUE, Verdict, certify_R_over,
-                           certify_R_under, eval_statement)
+                     classify, is_subabundant, is_superabundant,
+                     min_filling_true, s_over, s_under, unbalanced_range)
+from .certificates import (OUTCOME_TRUE, certify_R_over, certify_R_under,
+                           eval_statement)
 from .field import PrimeField, derive_seed
 
 PROVED = "proved"
 DEFICIENT_EVIDENCE = "deficient-evidence"
 UNKNOWN = "unknown"
 
-DEFAULT_MAX_VISITED = 10_000
+# Statements one prove() call may visit before it gives up as unknown.
+MAX_VISITED = 10_000
 
 
 @dataclass(frozen=True)
@@ -95,17 +95,15 @@ class StatementStore:
 
     def __init__(self) -> None:
         self._entries: dict[tuple, StoreEntry] = {}
-        self._lock = threading.Lock()
 
     def get(self, st: Statement) -> StoreEntry | None:
         return self._entries.get(st.key)
 
     def put(self, st: Statement, entry: StoreEntry) -> None:
-        with self._lock:
-            current = self._entries.get(st.key)
-            if current is not None and current.status == PROVED:
-                return
-            self._entries[st.key] = entry
+        current = self._entries.get(st.key)
+        if current is not None and current.status == PROVED:
+            return
+        self._entries[st.key] = entry
 
     def proved(self):
         for key, entry in sorted(self._entries.items()):
@@ -117,12 +115,11 @@ class StatementStore:
 
 
 def _side_ok(child: Statement, side: Abundance) -> bool:
-    cls = classify(child)
     if side is Abundance.SUBABUNDANT:
-        return cls in (Abundance.SUBABUNDANT, Abundance.EQUIABUNDANT)
+        return is_subabundant(child)
     if side is Abundance.SUPERABUNDANT:
-        return cls in (Abundance.SUPERABUNDANT, Abundance.EQUIABUNDANT)
-    return cls is Abundance.EQUIABUNDANT
+        return is_superabundant(child)
+    return is_subabundant(child) and is_superabundant(child)
 
 
 def _m0_truth(n: int, d: int, s: int, t: int) -> bool | None:
@@ -143,13 +140,11 @@ def _m0_truth(n: int, d: int, s: int, t: int) -> bool | None:
 
 class Prover:
     def __init__(self, store: StatementStore | None = None, seed: int = 0,
-                 trials: int = 3, field: PrimeField | None = None,
-                 max_visited: int = DEFAULT_MAX_VISITED):
+                 trials: int = 3, field: PrimeField | None = None):
         self.store = store if store is not None else StatementStore()
         self.seed = seed
         self.trials = trials
         self.field = field
-        self.max_visited = max_visited
         self._visited = 0
 
     # -- public entry points -------------------------------------------------
@@ -158,17 +153,13 @@ class Prover:
         self._visited = 0
         return self._prove(st, st.m + 2, anchors=True)
 
-    def prove_monotone(self, st: Statement) -> ProofNode | None:
-        """Derive st from a stored stronger statement, if one exists."""
-        return self._monotone_from_store(st)
-
     # -- search --------------------------------------------------------------
 
     def _prove(self, st: Statement, depth: int, anchors: bool) -> ProofNode | None:
         entry = self.store.get(st)
         if entry is not None and entry.status == PROVED:
             return entry.node
-        if self._visited >= self.max_visited:
+        if self._visited >= MAX_VISITED:
             return None
         self._visited += 1
 
@@ -214,13 +205,9 @@ class Prover:
                 continue
             if anchor.key == st.key:
                 continue
-            if classify(anchor) in (Abundance.SUBABUNDANT,
-                                    Abundance.EQUIABUNDANT) \
-                    and st.s <= anchor.s and st.t <= anchor.t:
+            if is_subabundant(anchor) and st.s <= anchor.s and st.t <= anchor.t:
                 return ProofNode(st, "subabundant_monotone", (node,))
-            if classify(anchor) in (Abundance.SUPERABUNDANT,
-                                    Abundance.EQUIABUNDANT) \
-                    and st.s >= anchor.s and st.t >= anchor.t:
+            if is_superabundant(anchor) and st.s >= anchor.s and st.t >= anchor.t:
                 return ProofNode(st, "superabundant_monotone", (node,))
         return None
 
@@ -438,12 +425,12 @@ def check_proof(node: ProofNode, seed: int = 0, trials: int = 3,
         if rule == "subabundant_monotone":
             if not (st.s <= anchor.s and st.t <= anchor.t):
                 fail("monotone child is not stronger")
-            if classify(anchor) is Abundance.SUPERABUNDANT:
+            if not is_subabundant(anchor):
                 fail("subabundant monotone from a strictly superabundant anchor")
         else:
             if not (st.s >= anchor.s and st.t >= anchor.t):
                 fail("monotone child is not stronger")
-            if classify(anchor) is Abundance.SUBABUNDANT:
+            if not is_superabundant(anchor):
                 fail("superabundant monotone from a strictly subabundant anchor")
         check_proof(node.children[0], seed, trials, field)
         return

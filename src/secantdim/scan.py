@@ -86,7 +86,8 @@ def run_scan(max_m: int, max_n: int, seed: int = 0, prime: int = PRIMARY_PRIME,
     records: dict[tuple, dict] = {}
     for task in tasks:
         m, n, s = task[:3]
-        key = f"{m},{n},2,{s},0,{seed},{prime}"
+        key = cache_key({"m": m, "n": n, "d": 2, "s": s, "t": 0,
+                         "seed": seed, "prime": prime})
         if key in cached:
             records[(m, n, s)] = cached[key]
         else:
@@ -132,13 +133,10 @@ def defective_triples(records: list[dict]) -> list[tuple[int, int, int]]:
 
 
 def scan_summary(records: list[dict]) -> str:
-    lines = []
-    triples = defective_triples(records)
-    lines.append(f"scanned {len(records)} statements; "
-                 f"{len(triples)} defective")
-    for m, n, s in triples:
-        rec = next(r for r in records
-                   if (r["m"], r["n"], r["s"]) == (m, n, s))
+    defective = [r for r in records if r["defect"] > 0]
+    lines = [f"scanned {len(records)} statements; {len(defective)} defective"]
+    for rec in defective:
+        m, n, s = rec["m"], rec["n"], rec["s"]
         note = f"defective ({m},{n},{s}): rank {rec['rank']} < expected " \
                f"{rec['expected']} [{rec['conjecture']}]"
         rng = unbalanced_range(m, n, 2)

@@ -17,8 +17,9 @@ spanned by the rows e_i (x) v^d (i = 0..m) and u (x) v^(d-1) f_j (j = 0..n);
 m + n + 1 are independent.
 
 Two distinguished codimension-2 coordinate subspaces of W recur in the
-certificates: span(f_0..f_{n-2}) and span(f_2..f_n).  Points can be
-constrained to either (or both, or to the hyperplane span(f_1..f_n)).
+certificates: span(f_0..f_{n-2}) and span(f_2..f_n).  ``PointConstraint``
+names them (ON_L, ON_M, next to GENERIC for all of W), and its ``window``
+method is the one place their W-indices are spelled out.
 """
 
 from __future__ import annotations
@@ -93,44 +94,21 @@ def power_row(v: Sequence[int], basis: MonomialBasis, p: int) -> np.ndarray:
     return np.array([eval_power(v, mu, p) for mu in basis.exponents], dtype=np.int64)
 
 
-def column_count(m: int, n: int, d: int) -> int:
-    return (m + 1) * len(monomial_basis(n, d))
-
-
 class PointConstraint(Enum):
     """Coordinate-subspace constraint on the W-factor of a sample point."""
 
     GENERIC = "generic"
     ON_L = "on_L"                  # v in span(f_0 .. f_{n-2})
     ON_M = "on_M"                  # v in span(f_2 .. f_n)
-    ON_L_AND_M = "on_L_and_M"      # v in span(f_2 .. f_{n-2})
-    ON_HYPERSLICE = "on_hyperslice"  # v in span(f_1 .. f_n)
 
     def window(self, n: int) -> list[int]:
-        """Indices of the W-coordinates the constraint leaves free."""
-        if self is PointConstraint.GENERIC:
-            idx = list(range(n + 1))
-        elif self is PointConstraint.ON_L:
-            idx = list(range(n - 1))
-        elif self is PointConstraint.ON_M:
-            idx = list(range(2, n + 1))
-        elif self is PointConstraint.ON_L_AND_M:
-            idx = list(range(2, n - 1))
-        else:
-            idx = list(range(1, n + 1))
-        if not idx:
-            raise ValueError(f"constraint {self.value} infeasible for n = {n}")
-        return idx
-
-
-def ul_indices(n: int) -> list[int]:
-    """W-indices spanning the first codim-2 window span(f_0..f_{n-2})."""
-    return list(range(n - 1))
-
-
-def um_indices(n: int) -> list[int]:
-    """W-indices spanning the second codim-2 window span(f_2..f_n)."""
-    return list(range(2, n + 1))
+        """Indices of the W-coordinates the constraint leaves free; empty
+        when the window is the zero subspace (ON_L, ON_M for n <= 1)."""
+        if self is PointConstraint.ON_L:
+            return list(range(n - 1))
+        if self is PointConstraint.ON_M:
+            return list(range(2, n + 1))
+        return list(range(n + 1))
 
 
 @dataclass(frozen=True)
@@ -146,8 +124,10 @@ class Point:
 
 
 def sample_point(rng: SeededRng, constraint: PointConstraint, m: int, n: int) -> Point:
-    u = rng.nonzero_vector(m + 1)
     window = constraint.window(n)
+    if not window:
+        raise ValueError(f"constraint {constraint.value} infeasible for n = {n}")
+    u = rng.nonzero_vector(m + 1)
     vals = rng.nonzero_vector(len(window))
     v = np.zeros(n + 1, dtype=np.int64)
     v[window] = vals

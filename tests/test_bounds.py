@@ -6,10 +6,9 @@ import os
 
 import pytest
 
-from secantdim.bounds import (AH_EXCEPTIONS, FILLING_EXCEPTIONS, Abundance,
-                              Statement, ah_veronese_true, ambient_dim,
-                              classify, ell_h_bounds, expected_dim,
-                              is_subabundant, is_superabundant,
+from secantdim.bounds import (AH_EXCEPTIONS, Abundance, Statement,
+                              ah_veronese_true, ambient_dim, classify,
+                              expected_dim, is_subabundant, is_superabundant,
                               min_filling_true, q_bound, r_bound, s_over,
                               s_under, span_count, unbalanced_expected_dim,
                               unbalanced_range)
@@ -139,23 +138,14 @@ def test_min_filling():
     assert min_filling_true(4, 3) == 8  # (4,3) exception bumps 7 to 8
 
 
-def test_filling_exceptions_frozen():
-    assert FILLING_EXCEPTIONS == {(2, 4), (3, 4), (4, 3), (4, 4)}
-
-
-def test_ell_h_bounds():
-    ell, h = ell_h_bounds(1, 2, 3)
-    assert ell == 10 // 4 == 2
-    assert h == -(-10 // 3) == 4
-    with pytest.raises(ValueError):
-        ell_h_bounds(1, 2, 2)
-
-
 def test_unbalanced_range():
-    assert unbalanced_range(2, 2, 2) is None  # m <= C - d
+    assert unbalanced_range(2, 2, 2) is None  # m <= C - n
     assert unbalanced_range(5, 2, 2) == (4, 6)
     assert unbalanced_range(6, 2, 2) == (4, 6)  # hi capped at C = 6
     assert unbalanced_range(9, 2, 2) == (4, 6)
+    # balance is m <= C - n, not C - d: (8, 3) is unbalanced, (7, 3) is not
+    assert unbalanced_range(8, 3, 2) == (7, 9)
+    assert unbalanced_range(7, 3, 2) is None
     assert unbalanced_expected_dim(5, 2, 2, 5) == 5 * (6 + 6 - 5) == 35
     assert unbalanced_expected_dim(6, 2, 2, 5) == 5 * (6 + 7 - 5) == 40
 
@@ -163,7 +153,7 @@ def test_unbalanced_range():
 def test_unbalanced_range_against_measured_ranks():
     from secantdim.certificates import eval_statement
 
-    for m, n in ((5, 2), (6, 2), (9, 3)):
+    for m, n in ((5, 2), (6, 2), (9, 3), (8, 3)):
         rng = unbalanced_range(m, n, 2)
         assert rng is not None
         lo, hi = rng

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from secantdim import certificates
 from secantdim.bounds import Statement, ambient_dim, expected_dim, s_over, s_under
 from secantdim.certificates import (Verdict, certify_Q, certify_R2n,
                                     certify_R_over, certify_R_under,
@@ -72,9 +73,20 @@ def test_rank_monotone_in_s():
     assert prev == 30
 
 
+def test_rank_above_expected_raises(monkeypatch):
+    # semicontinuity: a rank above the expected dimension means the rows
+    # were built wrong, and must raise rather than certify
+    st = Statement(2, 3, 2, 4, 0)
+    monkeypatch.setattr(certificates, "rank", lambda mat: expected_dim(st) + 1)
+    with pytest.raises(ArithmeticError):
+        eval_statement(st)
+
+
 def test_cross_prime_check():
+    v = eval_statement_checked(Statement(2, 3, 2, 5, 0))
+    assert v.rank == 29 and v.outcome == "deficient"
     v = eval_statement_checked(Statement(2, 3, 2, 5, 0),
-                               cross_field=PrimeField(SECONDARY_PRIME))
+                               field=PrimeField(SECONDARY_PRIME))
     assert v.rank == 29 and v.outcome == "deficient"
     w = eval_statement_checked(Statement(2, 3, 2, 4, 0))
     assert w.outcome == "true"

@@ -93,6 +93,25 @@ def test_scan_golden_and_summary(capsys):
     assert "defective (2,3,5)" in err
 
 
+def test_scan_jobs_matches_serial(capsys):
+    outs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "scan", "--max-m", "3", "--max-n", "3",
+                           "--jobs", jobs)
+        assert code == 0
+        outs.append([dict(json.loads(line), ms=0) for line in out.splitlines()])
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("dim", "--m", "1", "--n", "1", "--s", "1", "--format", "csv"),
+    ("strassen", "--k", "1", "--trials", "3"),
+    ("certify", "strassen", "--k", "1"),
+])
+def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
+    assert run(capsys, *argv)[0] == 64
+
+
 def test_scan_csv_format(capsys):
     code, out, _ = run(capsys, "scan", "--max-m", "1", "--max-n", "1",
                        "--format", "csv")

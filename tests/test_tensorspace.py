@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from secantdim.field import PRIMARY_PRIME, PrimeField, SeededRng, derive_seed, rank, vstack
+from secantdim.bounds import ambient_dim
 from secantdim.tensorspace import (MonomialBasis, Point, PointConstraint,
-                                   column_count, eval_power, monomial_basis,
-                                   multinomial, power_row, sample_point,
+                                   eval_power, monomial_basis, multinomial,
+                                   power_row, sample_point,
                                    sample_point_off_l, subspace_rows,
-                                   tangent_rows, ul_indices, um_indices,
-                                   y_rows)
+                                   tangent_rows, y_rows)
 
 F = PrimeField(PRIMARY_PRIME)
 
@@ -48,28 +48,18 @@ def test_eval_power_and_power_row():
     assert row.tolist() == [9, 30, 25]
 
 
-def test_column_count():
-    assert column_count(2, 4, 2) == 3 * 15
-    assert column_count(1, 1, 2) == 6
-    assert column_count(0, 3, 3) == 20
-
-
 def test_constraint_windows():
     assert list(PointConstraint.GENERIC.window(4)) == [0, 1, 2, 3, 4]
     assert list(PointConstraint.ON_L.window(4)) == [0, 1, 2]
     assert list(PointConstraint.ON_M.window(4)) == [2, 3, 4]
-    assert list(PointConstraint.ON_L_AND_M.window(4)) == [2]
-    assert list(PointConstraint.ON_HYPERSLICE.window(4)) == [1, 2, 3, 4]
-    with pytest.raises(ValueError):
-        PointConstraint.ON_L_AND_M.window(3)
-    with pytest.raises(ValueError):
-        PointConstraint.ON_L.window(1)
-
-
-def test_window_index_helpers():
-    assert ul_indices(4) == [0, 1, 2]
-    assert um_indices(4) == [2, 3, 4]
-    assert ul_indices(1) == []
+    # an empty window is a valid (zero) subspace block, but no point lies on it
+    assert PointConstraint.ON_L.window(1) == []
+    assert PointConstraint.ON_M.window(1) == []
+    assert subspace_rows(PointConstraint.ON_L.window(1), 2, 1, 2, F).rows == 0
+    rng = SeededRng(derive_seed(10, "empty"), F)
+    for c in (PointConstraint.ON_L, PointConstraint.ON_M):
+        with pytest.raises(ValueError):
+            sample_point(rng, c, 2, 1)
 
 
 def test_point_validation():
@@ -127,9 +117,9 @@ def test_y_rows_are_slice_block():
 
 
 def test_subspace_rows_unit_block():
-    sub = subspace_rows(ul_indices(4), 2, 4, 2, F)
+    sub = subspace_rows(PointConstraint.ON_L.window(4), 2, 4, 2, F)
     assert sub.rows == 3 * 6  # (m+1) * dim S_2(U_L) with dim U_L = 3
-    assert sub.cols == column_count(2, 4, 2)
+    assert sub.cols == ambient_dim(2, 4, 2)
     assert rank(sub) == sub.rows
     assert sorted(np.nonzero(sub.array)[1].tolist()) == sorted(
         set(np.nonzero(sub.array)[1].tolist()))  # one unit per row, no overlap
@@ -140,7 +130,7 @@ def test_tangent_on_l_mod_subspace():
     # V (x) S_2(U_L), independent of m and n
     rng = SeededRng(derive_seed(14, "onl"), F)
     for m, n in ((1, 3), (2, 4), (2, 5), (3, 6)):
-        sub = subspace_rows(ul_indices(n), m, n, 2, F)
+        sub = subspace_rows(PointConstraint.ON_L.window(n), m, n, 2, F)
         pt = sample_point(rng, PointConstraint.ON_L, m, n)
         tangent = tangent_rows(pt, m, n, 2, F)
         assert rank(vstack([sub, tangent])) == sub.rows + 2
