@@ -48,13 +48,17 @@ def test_eval_power_and_power_row():
     assert row.tolist() == [9, 30, 25]
 
 
-def test_constraint_windows():
-    assert list(PointConstraint.GENERIC.window(4)) == [0, 1, 2, 3, 4]
+def test_window_index_helpers():
+    # the two codimension-2 windows of W: U_L = {0..n-2}, U_M = {2..n}
     assert list(PointConstraint.ON_L.window(4)) == [0, 1, 2]
     assert list(PointConstraint.ON_M.window(4)) == [2, 3, 4]
-    # an empty window is a valid (zero) subspace block, but no point lies on it
     assert PointConstraint.ON_L.window(1) == []
     assert PointConstraint.ON_M.window(1) == []
+
+
+def test_constraint_windows():
+    assert list(PointConstraint.GENERIC.window(4)) == [0, 1, 2, 3, 4]
+    # an empty window is a valid (zero) subspace block, but no point lies on it
     assert subspace_rows(PointConstraint.ON_L.window(1), 2, 1, 2, F).rows == 0
     rng = SeededRng(derive_seed(10, "empty"), F)
     for c in (PointConstraint.ON_L, PointConstraint.ON_M):
