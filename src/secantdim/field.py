@@ -16,6 +16,7 @@ that bound.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,56 +109,53 @@ def vstack(mats: Sequence[DenseMatrix]) -> DenseMatrix:
     return DenseMatrix(np.vstack([m.array for m in mats]), field)
 
 
-def _rank_array(a: np.ndarray, p: int) -> int:
-    a = np.array(a, dtype=np.int64) % p
-    nrows, ncols = a.shape
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
+def _eliminate(a: np.ndarray, p: int, npiv: int) -> list[int]:
+    """Forward elimination in place on the residues a, pivoting in the first
+    npiv rows only; returns the pivot columns.  A pivot updates the rows below
+    it from its own column on, the columns to its left being zero there.  A
+    row exchange negates one of the two rows, which keeps the determinant."""
+    r, pivots = 0, []
+    for col in range(a.shape[1]):
+        if r == npiv:
             break
-        hits = np.nonzero(a[r:, col])[0]
+        hits = np.nonzero(a[r:npiv, col])[0]
         if hits.size == 0:
             continue
         piv = r + int(hits[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, col]), p - 2, p)
-        a[r] = a[r] * inv % p
-        if r + 1 < nrows:
-            factors = a[r + 1:, col]
-            a[r + 1:] = (a[r + 1:] - factors[:, None] * a[r][None, :]) % p
+            a[piv] = -a[piv] % p
+        factors = a[r + 1:, col] * pow(int(a[r, col]), p - 2, p) % p
+        a[r + 1:, col:] = (a[r + 1:, col:] - factors[:, None] * a[r, col:]) % p
+        pivots.append(col)
         r += 1
-    return r
+    return pivots
 
 
 def rank(m: DenseMatrix) -> int:
-    return _rank_array(m.array, m.field.p)
+    return len(_eliminate(m.array % m.field.p, m.field.p, m.rows))
+
+
+def reduce_rows(gens: DenseMatrix, rows: DenseMatrix) -> tuple[int, DenseMatrix]:
+    """dim Y and rows reduced modulo the row space Y of gens, restricted to
+    the non-pivot columns of Y: their rank is dim(Y + rowspace(rows)) - dim Y.
+    Eliminating gens stacked over rows, pivoting in gens only, leaves each row
+    the unique representative of its class mod Y vanishing on Y's pivots."""
+    stack = vstack([gens, rows]).array
+    pivots = _eliminate(stack, gens.field.p, gens.rows)
+    free = np.setdiff1d(np.arange(stack.shape[1]), pivots)
+    return len(pivots), DenseMatrix(stack[gens.rows:, free], gens.field)
 
 
 def det(m: DenseMatrix) -> int:
-    """Determinant by ordinary elimination with pivot-product bookkeeping."""
+    """Determinant: the product of the pivots of the shared elimination."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     p = m.field.p
-    a = np.array(m.array, dtype=np.int64) % p
-    n = a.shape[0]
-    result = 1
-    for col in range(n):
-        hits = np.nonzero(a[col:, col])[0]
-        if hits.size == 0:
-            return 0
-        piv = col + int(hits[0])
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            result = -result % p
-        pivot = int(a[col, col])
-        result = result * pivot % p
-        inv = pow(pivot, p - 2, p)
-        a[col] = a[col] * inv % p
-        if col + 1 < n:
-            factors = a[col + 1:, col]
-            a[col + 1:] = (a[col + 1:] - factors[:, None] * a[col][None, :]) % p
-    return result % p
+    a = m.array % p
+    if len(_eliminate(a, p, m.rows)) < m.rows:
+        return 0
+    return math.prod(np.diagonal(a).tolist()) % p
 
 
 def pfaffian(m: DenseMatrix) -> int:

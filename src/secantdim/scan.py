@@ -7,8 +7,9 @@ classifies the cell against the conjectured defect list.  Deficient records
 are cross-checked over a second prime before being reported.
 
 Records are emitted in a fixed key order so that JSON-lines and CSV output
-carry identical content, and an optional append-only cache keyed by
-(statement, seed, prime) lets interrupted scans resume.
+carry identical content.  An optional append-only cache keyed by
+(statement, seed, prime) gets each record, flushed, as soon as its cell is
+done, so an interrupted scan resumes where it stopped.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 
 from .bounds import Statement, ambient_dim, classify, unbalanced_expected_dim, unbalanced_range
 from .certificates import eval_statement_checked
@@ -60,16 +63,25 @@ def cache_key(rec: dict) -> str:
 
 
 def load_cache(path: str) -> dict[str, dict]:
-    out: dict[str, dict] = {}
+    """Cached records by cache_key.  An unparsable last line is the torn tail
+    of an interrupted write and is skipped with a note on stderr; a bad line
+    anywhere else raises."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rec = json.loads(line)
-                    out[cache_key(rec)] = rec
+            lines = [line for line in fh.read().splitlines() if line.strip()]
     except FileNotFoundError:
-        pass
+        return {}
+    out: dict[str, dict] = {}
+    for pos, line in enumerate(lines):
+        try:
+            rec = json.loads(line)
+        except ValueError:
+            if pos + 1 < len(lines):
+                raise
+            print(f"secantdim scan: skipping torn last line of {path}",
+                  file=sys.stderr)
+            break
+        out[cache_key(rec)] = rec
     return out
 
 
@@ -93,19 +105,21 @@ def run_scan(max_m: int, max_n: int, seed: int = 0, prime: int = PRIMARY_PRIME,
         else:
             todo.append(task)
 
-    if jobs > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            fresh = list(pool.map(_cell_task, todo))
-    else:
-        fresh = [_cell_task(t) for t in todo]
-
-    if cache_path and fresh:
-        with open(cache_path, "a", encoding="ascii") as fh:
-            for rec in fresh:
-                fh.write(record_to_json(rec) + "\n")
-
-    for rec in fresh:
-        records[(rec["m"], rec["n"], rec["s"])] = rec
+    with ExitStack() as stack:
+        fresh = map(_cell_task, todo)
+        if jobs > 1 and len(todo) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            fresh = pool.map(_cell_task, todo)
+        out = None
+        if cache_path and todo:
+            out = stack.enter_context(open(cache_path, "a+", encoding="ascii"))
+            out.seek(0)
+            out.truncate(out.read().rfind("\n") + 1)  # cut a torn last line
+        for rec in fresh:  # grid order: written once it and all before it are done
+            if out is not None:
+                out.write(record_to_json(rec) + "\n")
+                out.flush()
+            records[(rec["m"], rec["n"], rec["s"])] = rec
     return [records[k] for k in sorted(records)]
 
 

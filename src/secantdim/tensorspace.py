@@ -155,12 +155,8 @@ def tangent_rows(point: Point, m: int, n: int, d: int, field: PrimeField) -> Den
     p = field.p
     basis = monomial_basis(n, d)
     nmon = len(basis)
-    cols = (m + 1) * nmon
-    arr = np.zeros((m + n + 2, cols), dtype=np.int64)
-
-    vd = power_row(point.v, basis, p)
-    for i in range(m + 1):
-        arr[i, i * nmon:(i + 1) * nmon] = vd
+    arr = np.zeros((m + n + 2, (m + 1) * nmon), dtype=np.int64)
+    arr[:m + 1] = y_rows(point, m, n, d, field).array
 
     u = np.array(point.u, dtype=np.int64) % p
     lower = monomial_basis(n, d - 1)

@@ -13,7 +13,7 @@ from secantdim.certificates import (Verdict, certify_Q, certify_R2n,
                                     eval_statement, eval_statement_checked,
                                     r_under_expected, witness_Rmm)
 from secantdim.field import (PRIMARY_PRIME, SECONDARY_PRIME, DenseMatrix,
-                             PrimeField, SeededRng, derive_seed, rank)
+                             PrimeField, SeededRng, derive_seed, rank, vstack)
 
 F = PrimeField(PRIMARY_PRIME)
 
@@ -228,3 +228,49 @@ def test_witness_deterministic_and_true():
     for m in (2, 3, 4, 5, 6):
         assert witness_Rmm(m, F) is True
     assert witness_Rmm(3, PrimeField(SECONDARY_PRIME)) is True
+
+
+# -- the quotient oracle against the full stack --------------------------------
+
+
+def _equivalence_cases():
+    for m in range(1, 6):
+        for n in range(3, 6):
+            yield certificates.q_config(m, n), ("Q", m, n)
+    for m in range(1, 6):
+        for n in range(m, 6):
+            yield certificates._r_config(m, n, s_under(m, n)), ("Runder", m, n)
+    for m in range(2, 6):
+        for n in range(2, 6):
+            yield certificates._r_config(m, n, s_over(m, n)), ("Rover", m, n)
+    for n in (3, 5):
+        yield certificates._r_config(2, n, 3 * (n // 2) + 2), ("R2n", n)
+    # t > 0, the known deficient cells, and the unbalanced cell (5, 2, 5)
+    for key in ((1, 2, 2, 1, 1), (2, 4, 2, 5, 1), (3, 3, 2, 2, 3),
+                (2, 2, 2, 0, 2), (1, 2, 3, 2, 1), (2, 3, 2, 5, 0),
+                (4, 3, 2, 6, 0), (5, 2, 2, 5, 0)):
+        st = Statement(*key)
+        yield certificates.statement_config(st), ("S",) + st.key
+
+
+def test_quotient_rank_equals_full_stack_rank():
+    for config, label in _equivalence_cases():
+        for trial in range(3):
+            rng = SeededRng(derive_seed(0, *label, trial), F)
+            pieces = config.pieces(rng, F)
+            full = rank(vstack([mat for mat, _ in pieces]))
+            got = certificates._span_rank(pieces, config.m, config.n,
+                                          config.d, F)
+            assert got == full, (label, trial)
+
+
+def test_column_mismatch_raises(monkeypatch):
+    wide = certificates.tangent_rows
+
+    def one_column_too_many(pt, m, n, d, field):
+        mat = wide(pt, m, n, d, field)
+        return DenseMatrix(np.hstack([mat.array, mat.array[:, :1]]), field)
+
+    monkeypatch.setattr(certificates, "tangent_rows", one_column_too_many)
+    with pytest.raises(ValueError, match="disagree on columns"):
+        eval_statement(Statement(2, 3, 2, 4, 0))

@@ -5,7 +5,7 @@ import pytest
 
 from secantdim.field import (PRIMARY_PRIME, SECONDARY_PRIME, DenseMatrix,
                              PrimeField, SeededRng, derive_seed, det, pfaffian,
-                             rank, vstack)
+                             rank, reduce_rows, vstack)
 
 F = PrimeField(PRIMARY_PRIME)
 
@@ -112,6 +112,114 @@ def test_rank_agrees_across_primes():
     for _ in range(20):
         raw = rng.elements((6, 4)) % 1000  # small entries embed in both fields
         assert rank(DenseMatrix(raw, F)) == rank(DenseMatrix(raw.copy(), g))
+
+
+# -- the top supported prime, against pure-Python integer elimination ---------
+#
+# At p = 3037000493 a product of two residues p - 1 is within 2^61 of 2^63, so
+# an int64 step that multiplies before reducing, or lets a difference of two
+# such products through, shows up as a wrong rank, determinant or Pfaffian.
+
+TOP = PrimeField(3_037_000_493)
+
+
+def _py_echelon(rows, p):
+    """Reduced row echelon form with Python ints: (rows, pivot columns)."""
+    rows = [[x % p for x in row] for row in rows]
+    out, pivots = [], []
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in rows if r[col]), None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        inv = pow(piv[col], p - 2, p)
+        piv = [x * inv % p for x in piv]
+        rows = [[x - r[col] * y for x, y in zip(r, piv)] for r in rows]
+        rows = [[x % p for x in r] for r in rows]
+        out = [[(x - r[col] * y) % p for x, y in zip(r, piv)] for r in out]
+        out.append(piv)
+        pivots.append(col)
+    return out, pivots
+
+
+def _py_det(rows, p):
+    rows = [list(r) for r in rows]
+    result = 1
+    for col in range(len(rows)):
+        piv = next((i for i in range(col, len(rows)) if rows[i][col] % p), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            result = -result
+        result = result * rows[col][col] % p
+        inv = pow(rows[col][col], p - 2, p)
+        for i in range(col + 1, len(rows)):
+            f = rows[i][col] * inv
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[col])]
+    return result % p
+
+
+def _py_pfaffian(rows, p):
+    """Expansion along the first row."""
+    if not rows:
+        return 1
+    total = 0
+    for j in range(1, len(rows)):
+        keep = [k for k in range(1, len(rows)) if k != j]
+        minor = [[rows[a][b] for b in keep] for a in keep]
+        total += (-1) ** (j + 1) * rows[0][j] * _py_pfaffian(minor, p)
+    return total % p
+
+
+def _top_matrices(rng, shape):
+    p = TOP.p
+    yield np.full(shape, p - 1, dtype=np.int64)
+    yield p - 1 - rng.integers(0, 3, size=shape)  # -1, -2, -3: full rank
+    yield rng.integers(0, p, size=shape)
+
+
+def test_top_prime_kernels_match_python_ints():
+    p = TOP.p
+    rng = np.random.default_rng(31)
+    for shape in ((7, 7), (5, 9), (9, 4)):
+        for arr in _top_matrices(rng, shape):
+            rows = arr.tolist()
+            assert rank(DenseMatrix(arr, TOP)) == len(_py_echelon(rows, p)[1])
+            if shape[0] == shape[1]:
+                assert det(DenseMatrix(arr, TOP)) == _py_det(rows, p)
+    for arr in _top_matrices(rng, (8, 8)):
+        skew = (np.triu(arr, 1) - np.triu(arr, 1).T) % p
+        assert pfaffian(DenseMatrix(skew, TOP)) == _py_pfaffian(skew.tolist(), p)
+
+
+def test_top_prime_reduce_rows_matches_python_ints():
+    p = TOP.p
+    rng = np.random.default_rng(37)
+    for gens in _top_matrices(rng, (4, 10)):
+        for rows in _top_matrices(rng, (6, 10)):
+            dim_y, reduced = reduce_rows(DenseMatrix(gens, TOP),
+                                         DenseMatrix(rows, TOP))
+            basis, pivots = _py_echelon(gens.tolist(), p)
+            want = []
+            for row in rows.tolist():
+                for b, col in zip(basis, pivots):
+                    row = [(x - row[col] * y) % p for x, y in zip(row, b)]
+                want.append([x for c, x in enumerate(row) if c not in pivots])
+            assert dim_y == len(pivots)
+            assert reduced.array.tolist() == want
+
+
+def test_reduce_rows_measures_the_quotient():
+    rng = SeededRng(derive_seed(8, "reduce"), F)
+    gens = DenseMatrix(rng.elements((3, 7)), F)
+    rows = DenseMatrix(rng.elements((5, 7)), F)
+    dim_y, reduced = reduce_rows(gens, rows)
+    assert reduced.cols == 7 - dim_y
+    assert dim_y + rank(reduced) == rank(vstack([gens, rows]))
+    # rows already in Y reduce to zero
+    dim_y, reduced = reduce_rows(gens, gens)
+    assert dim_y == 3 and not reduced.array.any()
 
 
 def test_seeded_rng_deterministic():

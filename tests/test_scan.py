@@ -5,6 +5,8 @@ import io
 import json
 import os
 
+import pytest
+
 from secantdim.scan import (RECORD_FIELDS, defective_triples, evaluate_cell,
                             load_cache, records_to_csv, records_to_jsonl,
                             run_scan, s_values, scan_summary)
@@ -61,6 +63,35 @@ def test_cache_resume(tmp_path):
     for rec in first:
         cached = by_key[as_key(rec)]
         assert cached["rank"] == rec["rank"] and cached["seed"] == rec["seed"]
+
+
+def _without_ms(records):
+    return [dict(r, ms=0) for r in records]
+
+
+def test_cache_resume_after_torn_last_line(tmp_path, capsys):
+    cache = tmp_path / "cells.jsonl"
+    whole = run_scan(2, 2, seed=0, trials=2, cache_path=str(cache))
+    lines = cache.read_text().splitlines(keepends=True)
+    # an interrupted scan: six records written, the seventh cut mid-record
+    cache.write_text("".join(lines[:6]) + lines[6][:len(lines[6]) // 2])
+    # resume through the process pool, which writes records in grid order too
+    resumed = run_scan(2, 2, seed=0, trials=2, jobs=2, cache_path=str(cache))
+    assert "torn last line" in capsys.readouterr().err
+    assert _without_ms(resumed) == _without_ms(whole)
+    # the torn tail was cut, so every line parses and no cell is duplicated
+    assert len(cache.read_text().splitlines()) == len(whole)
+    assert _without_ms(load_cache(str(cache)).values()) == _without_ms(whole)
+    assert capsys.readouterr().err == ""
+
+
+def test_cache_bad_inner_line_raises(tmp_path):
+    cache = tmp_path / "cells.jsonl"
+    run_scan(1, 2, seed=0, trials=2, cache_path=str(cache))
+    lines = cache.read_text().splitlines(keepends=True)
+    cache.write_text(lines[0][:10] + "\n" + "".join(lines[1:]))
+    with pytest.raises(ValueError):
+        load_cache(str(cache))
 
 
 def test_defective_triples_and_summary():
