@@ -143,7 +143,7 @@ def reduce_rows(gens: DenseMatrix, rows: DenseMatrix) -> tuple[int, DenseMatrix]
     the unique representative of its class mod Y vanishing on Y's pivots."""
     stack = vstack([gens, rows]).array
     pivots = _eliminate(stack, gens.field.p, gens.rows)
-    free = np.setdiff1d(np.arange(stack.shape[1]), pivots)
+    free = sorted(set(range(stack.shape[1])) - set(pivots))
     return len(pivots), DenseMatrix(stack[gens.rows:, free], gens.field)
 
 
