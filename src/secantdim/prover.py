@@ -33,10 +33,19 @@ proof (semicontinuity) and the checker replays it.
 The prover never claims falsity: statements it cannot reach come back as
 unknown, with deficiency evidence recorded in the store when the rank oracle
 observed it.
+
+The store indexes proved statements per (m, n, d) family, sorted by (s, t),
+with both abundance tests taken at insertion.  A monotone anchor comes from
+the statement's own family, where sorted-key order is (s, t) order, so the
+first match is the one a sorted walk over the whole store finds: proof trees
+do not depend on the index.  A deficiency entry proves nothing; it only
+spares a rank leaf a re-measurement that, under the same seed
+(prover seed, "rank", key), would repeat the verdict.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import re
 from dataclasses import dataclass
@@ -87,7 +96,6 @@ def proof_to_json(node: ProofNode) -> str:
 class StoreEntry:
     status: str
     node: ProofNode | None = None
-    provenance: str = ""
 
 
 class StatementStore:
@@ -95,6 +103,7 @@ class StatementStore:
 
     def __init__(self) -> None:
         self._entries: dict[tuple, StoreEntry] = {}
+        self._families: dict[tuple, list[tuple]] = {}
 
     def get(self, st: Statement) -> StoreEntry | None:
         return self._entries.get(st.key)
@@ -104,11 +113,14 @@ class StatementStore:
         if current is not None and current.status == PROVED:
             return
         self._entries[st.key] = entry
+        if entry.status == PROVED:  # once per key: no (s, t) ties in a family
+            bisect.insort(self._families.setdefault((st.m, st.n, st.d), []),
+                          (st.s, st.t, is_subabundant(st), is_superabundant(st),
+                           entry.node))
 
-    def proved(self):
-        for key, entry in sorted(self._entries.items()):
-            if entry.status == PROVED:
-                yield Statement(*key), entry.node
+    def family(self, st: Statement) -> list[tuple]:
+        """Proved statements with st's (m, n, d), in (s, t) order."""
+        return self._families.get((st.m, st.n, st.d), [])
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -186,7 +198,7 @@ class Prover:
         return self._rank_leaf(st)
 
     def _record(self, st: Statement, node: ProofNode) -> ProofNode:
-        self.store.put(st, StoreEntry(PROVED, node, node.rule))
+        self.store.put(st, StoreEntry(PROVED, node))
         return node
 
     def _m0_base(self, st: Statement) -> ProofNode | None:
@@ -194,20 +206,17 @@ class Prover:
         if truth is True:
             return self._record(st, ProofNode(st, "base_AH"))
         if truth is False:
-            self.store.put(st, StoreEntry(
-                DEFICIENT_EVIDENCE, None, "double-point interpolation exception"))
+            self.store.put(st, StoreEntry(DEFICIENT_EVIDENCE))
             return None
         return self._rank_leaf(st)
 
     def _monotone_from_store(self, st: Statement) -> ProofNode | None:
-        for anchor, node in self.store.proved():
-            if (anchor.m, anchor.n, anchor.d) != (st.m, st.n, st.d):
+        for s, t, sub, sup, node in self.store.family(st):
+            if (s, t) == (st.s, st.t):
                 continue
-            if anchor.key == st.key:
-                continue
-            if is_subabundant(anchor) and st.s <= anchor.s and st.t <= anchor.t:
+            if sub and st.s <= s and st.t <= t:
                 return ProofNode(st, "subabundant_monotone", (node,))
-            if is_superabundant(anchor) and st.s >= anchor.s and st.t >= anchor.t:
+            if sup and st.s >= s and st.t >= t:
                 return ProofNode(st, "superabundant_monotone", (node,))
         return None
 
@@ -329,13 +338,14 @@ class Prover:
         return derive_seed(self.seed, "prover", *parts)
 
     def _rank_leaf(self, st: Statement) -> ProofNode | None:
+        entry = self.store.get(st)
+        if entry is not None and entry.status == DEFICIENT_EVIDENCE:
+            return None
         verdict = eval_statement(st, self._cert_seed("rank", *st.key),
                                  self.trials, self.field)
         if verdict.outcome == OUTCOME_TRUE:
             return self._record(st, ProofNode(st, "base_rank_certificate"))
-        self.store.put(st, StoreEntry(
-            DEFICIENT_EVIDENCE, None,
-            f"rank {verdict.rank} < expected {verdict.expected}"))
+        self.store.put(st, StoreEntry(DEFICIENT_EVIDENCE))
         return None
 
 

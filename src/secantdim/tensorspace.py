@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -47,9 +47,9 @@ class MonomialBasis:
         return len(self.exponents)
 
     def index(self, mu: tuple[int, ...]) -> int:
-        return self._index_map()[mu]
+        return self._index_map[mu]
 
-    @lru_cache(maxsize=None)
+    @cached_property
     def _index_map(self) -> dict[tuple[int, ...], int]:
         return {mu: i for i, mu in enumerate(self.exponents)}
 
@@ -68,6 +68,17 @@ def monomial_basis(n: int, d: int) -> MonomialBasis:
     if n < 0 or d < 0:
         raise ValueError("monomial basis needs n >= 0 and d >= 0")
     return MonomialBasis(n, d, tuple(_exponents(n + 1, d)))
+
+
+@lru_cache(maxsize=None)
+def _raise_index(n: int, d: int) -> np.ndarray:
+    """[j, pos]: index in degree d of e_j + the pos-th monomial of degree d - 1."""
+    index = monomial_basis(n, d).index
+    table = np.array([[index(nu[:j] + (nu[j] + 1,) + nu[j + 1:])
+                       for nu in monomial_basis(n, d - 1).exponents]
+                      for j in range(n + 1)], dtype=np.intp)
+    table.setflags(write=False)
+    return table
 
 
 def multinomial(mu: Sequence[int]) -> int:
@@ -153,21 +164,13 @@ def tangent_rows(point: Point, m: int, n: int, d: int, field: PrimeField) -> Den
     if d < 1:
         raise ValueError("embedding degree must be >= 1")
     p = field.p
-    basis = monomial_basis(n, d)
-    nmon = len(basis)
-    arr = np.zeros((m + n + 2, (m + 1) * nmon), dtype=np.int64)
-    arr[:m + 1] = y_rows(point, m, n, d, field).array
-
     u = np.array(point.u, dtype=np.int64) % p
-    lower = monomial_basis(n, d - 1)
-    vlow = power_row(point.v, lower, p)
-    for j in range(n + 1):
-        mon = np.zeros(nmon, dtype=np.int64)
-        for pos, nu in enumerate(lower.exponents):
-            mu = nu[:j] + (nu[j] + 1,) + nu[j + 1:]
-            mon[basis.index(mu)] = vlow[pos]
-        arr[m + 1 + j] = np.kron(u, mon) % p
-    return DenseMatrix(arr, field)
+    vlow = power_row(point.v, monomial_basis(n, d - 1), p)
+    mon = np.zeros((n + 1, len(monomial_basis(n, d))), dtype=np.int64)
+    np.put_along_axis(mon, _raise_index(n, d), vlow[None, :], axis=1)
+    # products of residues stay below p^2 < 2^63; DenseMatrix reduces mod p
+    derivs = (mon[:, None, :] * u[None, :, None]).reshape(n + 1, -1)
+    return DenseMatrix(np.vstack([y_rows(point, m, n, d, field).array, derivs]), field)
 
 
 def y_rows(point: Point, m: int, n: int, d: int, field: PrimeField) -> DenseMatrix:

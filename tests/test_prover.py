@@ -4,13 +4,17 @@ import dataclasses
 import json
 import os
 
+import random
+
 import pytest
 
-from secantdim.bounds import Statement
+from secantdim import prover as prover_module
+from secantdim.bounds import Statement, is_subabundant, is_superabundant
 from secantdim.certificates import eval_statement
-from secantdim.prover import (ProofCheckError, ProofNode, Prover,
-                              StatementStore, check_proof, conjecture_verdict,
-                              proof_to_dict, proof_to_json)
+from secantdim.prover import (DEFICIENT_EVIDENCE, PROVED, ProofCheckError,
+                              ProofNode, Prover, StatementStore, StoreEntry,
+                              check_proof, conjecture_verdict, proof_to_dict,
+                              proof_to_json)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -118,7 +122,70 @@ def test_store_keeps_first_proof():
     first = prover.prove(st)
     again = prover.prove(st)
     assert first is again  # second call is a store hit
-    assert st.key in {proved.key for proved, _ in store.proved()}
+    assert store.get(st).status == PROVED
+
+
+
+def _first_anchor_by_sorted_key(proved, st):
+    """Reference store walk: every proved key in sorted order, first match."""
+    for key in sorted(proved):
+        anchor = Statement(*key)
+        if (anchor.m, anchor.n, anchor.d) != (st.m, st.n, st.d) or key == st.key:
+            continue
+        if is_subabundant(anchor) and st.s <= anchor.s and st.t <= anchor.t:
+            return "subabundant_monotone", proved[key]
+        if is_superabundant(anchor) and st.s >= anchor.s and st.t >= anchor.t:
+            return "superabundant_monotone", proved[key]
+    return None
+
+
+def test_family_index_picks_the_sorted_walks_first_anchor():
+    rnd = random.Random(5)
+    families = [(1, 2, 2), (2, 2, 2), (2, 3, 2), (3, 2, 1), (2, 2, 3)]
+    store = StatementStore()
+    proved = {}
+    for _ in range(150):
+        st = Statement(*rnd.choice(families), rnd.randrange(13), rnd.randrange(7))
+        if rnd.random() < 0.2:
+            store.put(st, StoreEntry(DEFICIENT_EVIDENCE))
+            continue
+        node = ProofNode(st, "base_rank_certificate")
+        store.put(st, StoreEntry(PROVED, node))
+        proved.setdefault(st.key, node)
+    prover = Prover(store=store)
+    hits = 0
+    for fam in families + [(4, 4, 2)]:
+        for s in range(14):
+            for t in range(8):
+                st = Statement(*fam, s, t)
+                got = prover._monotone_from_store(st)
+                want = _first_anchor_by_sorted_key(proved, st)
+                if want is None:
+                    assert got is None, st
+                    continue
+                hits += 1
+                assert got.statement == st
+                assert got.rule == want[0], st
+                assert got.children[0] is want[1], st
+    assert hits > 100
+
+
+def test_deficient_rank_leaf_is_not_measured_twice(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].key)
+        return eval_statement(*args, **kwargs)
+
+    monkeypatch.setattr(prover_module, "eval_statement", counted)
+    prover = Prover(seed=0)
+    st = Statement(2, 3, 2, 5, 0)
+    assert prover.prove(st) is None
+    assert st.key in calls
+    assert prover.store.get(st).status == DEFICIENT_EVIDENCE
+    first = len(calls)
+    assert prover.prove(st) is None
+    assert len(calls) == first
 
 
 def test_conjecture_verdict_classes():

@@ -113,6 +113,37 @@ def test_tangent_rank_generic():
         assert rank(tangent_rows(pt, m, n, 2, F)) == m + n + 1
 
 
+
+def _tangent_rows_by_monomial(point, m, n, d, p):
+    """Reference: each row u (x) v^(d-1) f_j built monomial by monomial,
+    in Python ints, below the m + 1 rows e_i (x) v^d."""
+    basis, lower = monomial_basis(n, d), monomial_basis(n, d - 1)
+    vd = [eval_power(point.v, mu, p) for mu in basis.exponents]
+    rows = [[0] * (i * len(basis)) + vd + [0] * ((m - i) * len(basis))
+            for i in range(m + 1)]
+    for j in range(n + 1):
+        mon = [0] * len(basis)
+        for nu in lower.exponents:
+            mu = nu[:j] + (nu[j] + 1,) + nu[j + 1:]
+            mon[basis.index(mu)] = eval_power(point.v, nu, p)
+        rows.append([int(ui) * c % p for ui in point.u for c in mon])
+    return rows
+
+
+@pytest.mark.parametrize("prime", [PRIMARY_PRIME, 3_037_000_493])
+def test_tangent_rows_match_monomial_loop(prime):
+    field = PrimeField(prime)
+    rng = SeededRng(derive_seed(15, "tloop", prime), field)
+    for n in range(0, 7):
+        for d in (1, 2, 3):
+            for m in (0, 2):
+                top = Point((prime - 1,) * (m + 1), (prime - 1,) * (n + 1))
+                for pt in (sample_point(rng, PointConstraint.GENERIC, m, n), top):
+                    got = tangent_rows(pt, m, n, d, field).array.tolist()
+                    assert got == _tangent_rows_by_monomial(pt, m, n, d, prime), \
+                        (m, n, d, pt)
+
+
 def test_y_rows_are_slice_block():
     pt = Point((1, 2), (3, 5))
     y = y_rows(pt, 1, 1, 2, F)
