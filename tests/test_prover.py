@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import os
-
 import random
 
 import pytest
@@ -123,7 +122,6 @@ def test_store_keeps_first_proof():
     again = prover.prove(st)
     assert first is again  # second call is a store hit
     assert store.get(st).status == PROVED
-
 
 
 def _first_anchor_by_sorted_key(proved, st):

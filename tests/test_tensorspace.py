@@ -113,7 +113,6 @@ def test_tangent_rank_generic():
         assert rank(tangent_rows(pt, m, n, 2, F)) == m + n + 1
 
 
-
 def _tangent_rows_by_monomial(point, m, n, d, p):
     """Reference: each row u (x) v^(d-1) f_j built monomial by monomial,
     in Python ints, below the m + 1 rows e_i (x) v^d."""
