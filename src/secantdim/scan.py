@@ -3,13 +3,27 @@
 For every cell (m, n) of the requested grid and every s from 1 up to one
 past the filling bound ceil(N / (m+n+1)), the scan measures the rank of the
 generic tangent configuration, compares it with the expected dimension, and
-classifies the cell against the conjectured defect list.  Deficient records
-are cross-checked over a second prime before being reported.
+classifies the cell against the conjectured defect list.
+
+One elimination per (m, n) decides every cell that reaches its expected
+dimension.  The stack of tangent spaces at s points is a row prefix of the
+stack at s + 1 points, so the pivot columns of the transposed stack for the
+largest s (its column rank profile) give the rank at every s.  The points
+are drawn from the seed derive_seed(seed, "profile", m, n).  A cell whose
+rank reaches the expected dimension is proved by that specialization.  A
+cell that falls short is measured again on its own with
+eval_statement_checked, with the cell's seed and up to `trials` draws, and a
+deficient result is cross-checked over a second prime before it is
+reported.  With jobs > 1 the (m, n) groups run in a process pool.
+
+A record's `ms` is its equal share of the (m, n) profile time (drawing,
+building and eliminating the stack), in whole milliseconds; a cell measured
+again adds the time of that measurement.
 
 Records are emitted in a fixed key order so that JSON-lines and CSV output
 carry identical content.  An optional append-only cache keyed by
-(statement, seed, prime) gets each record, flushed, as soon as its cell is
-done, so an interrupted scan resumes where it stopped.
+(statement, seed, prime) gets each record, flushed, as soon as its (m, n)
+group is done, so an interrupted scan resumes where it stopped.
 """
 
 from __future__ import annotations
@@ -19,13 +33,18 @@ import io
 import json
 import sys
 import time
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 
-from .bounds import Statement, ambient_dim, classify, unbalanced_expected_dim, unbalanced_range
+import numpy as np
+
+from .bounds import (Statement, ambient_dim, classify, expected_dim,
+                     unbalanced_expected_dim, unbalanced_range)
 from .certificates import eval_statement_checked
-from .field import PRIMARY_PRIME, PrimeField
+from .field import PRIMARY_PRIME, PrimeField, SeededRng, _eliminate, derive_seed
 from .prover import conjecture_verdict
+from .tensorspace import PointConstraint, sample_point, tangent_rows
 
 RECORD_FIELDS = ("m", "n", "d", "s", "t", "expected", "rank", "defect",
                  "abundance", "conjecture", "agree", "seed", "prime", "ms")
@@ -36,26 +55,64 @@ def s_values(m: int, n: int, d: int = 2) -> range:
     return range(1, top + 1)
 
 
-def evaluate_cell(m: int, n: int, s: int, seed: int = 0,
-                  prime: int = PRIMARY_PRIME, trials: int = 3) -> dict:
-    st = Statement(m, n, 2, s, 0)
-    field = PrimeField(prime)
-    start = time.perf_counter()
-    verdict = eval_statement_checked(st, seed=seed, trials=trials, field=field)
-    ms = int((time.perf_counter() - start) * 1000)
+def _record(m: int, n: int, s: int, expected: int, rank: int, seed: int,
+            prime: int, ms: int) -> dict:
     conj = conjecture_verdict(m, n, s)
-    agree = (verdict.defect > 0) == conj.startswith("defective")
     return {
         "m": m, "n": n, "d": 2, "s": s, "t": 0,
-        "expected": verdict.expected, "rank": verdict.rank,
-        "defect": verdict.defect, "abundance": classify(st).value,
-        "conjecture": conj, "agree": agree,
+        "expected": expected, "rank": rank, "defect": expected - rank,
+        "abundance": classify(Statement(m, n, 2, s, 0)).value,
+        "conjecture": conj,
+        "agree": (rank < expected) == conj.startswith("defective"),
         "seed": seed, "prime": prime, "ms": ms,
     }
 
 
-def _cell_task(args: tuple) -> dict:
-    return evaluate_cell(*args)
+def evaluate_cell(m: int, n: int, s: int, seed: int = 0,
+                  prime: int = PRIMARY_PRIME, trials: int = 3) -> dict:
+    st = Statement(m, n, 2, s, 0)
+    start = time.perf_counter()
+    verdict = eval_statement_checked(st, seed=seed, trials=trials,
+                                     field=PrimeField(prime))
+    ms = int((time.perf_counter() - start) * 1000)
+    return _record(m, n, s, verdict.expected, verdict.rank, seed, prime, ms)
+
+
+def _profile_ranks(m: int, n: int, s_top: int, seed: int,
+                   field: PrimeField) -> list[int]:
+    """Rank of the tangent spaces at the first s of s_top generic points, for
+    s = 0..s_top, from one elimination of the transposed stack: the rank at s
+    is the number of its pivot columns below s (m+n+2).  The points are drawn
+    in order, so a smaller s_top draws a prefix of the same points."""
+    rng = SeededRng(derive_seed(seed, "profile", m, n), field)
+    stack = np.vstack([
+        tangent_rows(sample_point(rng, PointConstraint.GENERIC, m, n),
+                     m, n, 2, field).array
+        for _ in range(s_top)])
+    pivots = _eliminate(np.ascontiguousarray(stack.T), field.p, stack.shape[1])
+    return [bisect_left(pivots, s * (m + n + 2)) for s in range(s_top + 1)]
+
+
+def _scan_group(task: tuple) -> list[dict]:
+    """Records of the cells (m, n, s), s in s_list, in order."""
+    m, n, s_list, seed, prime, trials = task
+    start = time.perf_counter()
+    ranks = _profile_ranks(m, n, max(s_list), seed, PrimeField(prime))
+    share = int((time.perf_counter() - start) * 1000 / len(s_list))
+    out = []
+    for s in s_list:
+        expected = expected_dim(Statement(m, n, 2, s, 0))
+        if ranks[s] > expected:
+            raise ArithmeticError(
+                f"rank {ranks[s]} exceeds expected {expected} at "
+                f"({m}, {n}, {s}); semicontinuity violated")
+        if ranks[s] == expected:
+            rec = _record(m, n, s, expected, ranks[s], seed, prime, share)
+        else:
+            rec = evaluate_cell(m, n, s, seed, prime, trials)
+            rec["ms"] += share
+        out.append(rec)
+    return out
 
 
 def cache_key(rec: dict) -> str:
@@ -88,38 +145,38 @@ def load_cache(path: str) -> dict[str, dict]:
 def run_scan(max_m: int, max_n: int, seed: int = 0, prime: int = PRIMARY_PRIME,
              trials: int = 3, jobs: int = 1,
              cache_path: str | None = None) -> list[dict]:
-    tasks = [(m, n, s, seed, prime, trials)
-             for m in range(1, max_m + 1)
-             for n in range(1, max_n + 1)
-             for s in s_values(m, n)]
     cached = load_cache(cache_path) if cache_path else {}
-
-    todo = []
     records: dict[tuple, dict] = {}
-    for task in tasks:
-        m, n, s = task[:3]
-        key = cache_key({"m": m, "n": n, "d": 2, "s": s, "t": 0,
-                         "seed": seed, "prime": prime})
-        if key in cached:
-            records[(m, n, s)] = cached[key]
-        else:
-            todo.append(task)
+    groups = []
+    for m in range(1, max_m + 1):
+        for n in range(1, max_n + 1):
+            todo = []
+            for s in s_values(m, n):
+                key = cache_key({"m": m, "n": n, "d": 2, "s": s, "t": 0,
+                                 "seed": seed, "prime": prime})
+                if key in cached:
+                    records[(m, n, s)] = cached[key]
+                else:
+                    todo.append(s)
+            if todo:
+                groups.append((m, n, todo, seed, prime, trials))
 
     with ExitStack() as stack:
-        fresh = map(_cell_task, todo)
-        if jobs > 1 and len(todo) > 1:
+        fresh = map(_scan_group, groups)
+        if jobs > 1 and len(groups) > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            fresh = pool.map(_cell_task, todo)
+            fresh = pool.map(_scan_group, groups)
         out = None
-        if cache_path and todo:
+        if cache_path and groups:
             out = stack.enter_context(open(cache_path, "a+", encoding="ascii"))
             out.seek(0)
             out.truncate(out.read().rfind("\n") + 1)  # cut a torn last line
-        for rec in fresh:  # grid order: written once it and all before it are done
-            if out is not None:
-                out.write(record_to_json(rec) + "\n")
-                out.flush()
-            records[(rec["m"], rec["n"], rec["s"])] = rec
+        for group in fresh:  # grid order: written once it and all before it are done
+            for rec in group:
+                if out is not None:
+                    out.write(record_to_json(rec) + "\n")
+                    out.flush()
+                records[(rec["m"], rec["n"], rec["s"])] = rec
     return [records[k] for k in sorted(records)]
 
 

@@ -90,19 +90,39 @@ def multinomial(mu: Sequence[int]) -> int:
     return out
 
 
-def eval_power(v: Sequence[int], mu: Sequence[int], p: int) -> int:
-    """Coefficient of f^mu in v^|mu|, i.e. multinomial(mu) * prod v_j^mu_j mod p."""
-    if len(v) != len(mu):
-        raise ValueError("vector and exponent lengths differ")
-    c = multinomial(mu) % p
-    for vj, e in zip(v, mu):
-        if e:
-            c = c * pow(int(vj) % p, e, p) % p
-    return c
+@lru_cache(maxsize=None)
+def _power_tables(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables of the degree-d monomials in n+1 variables:
+    [k, pos] is the k-th variable of the pos-th monomial, counted with
+    multiplicity, and [pos] is its multinomial coefficient."""
+    exponents = monomial_basis(n, d).exponents
+    variables = np.array([[j for j, e in enumerate(mu) for _ in range(e)]
+                          for mu in exponents], dtype=np.intp)
+    variables = variables.reshape(len(exponents), d).T
+    coeffs = np.array([multinomial(mu) for mu in exponents], dtype=np.int64)
+    for table in (variables, coeffs):
+        table.setflags(write=False)
+    return variables, coeffs
 
 
 def power_row(v: Sequence[int], basis: MonomialBasis, p: int) -> np.ndarray:
-    return np.array([eval_power(v, mu, p) for mu in basis.exponents], dtype=np.int64)
+    """Coefficients of v^d in the basis: multinomial(mu) * v^mu mod p.
+    Every product is of two residues, so it stays below p^2 < 2^63."""
+    if len(v) != basis.n + 1:
+        raise ValueError("vector and exponent lengths differ")
+    variables, coeffs = _power_tables(basis.n, basis.d)
+    vals = np.array(v, dtype=np.int64) % p
+    out = coeffs % p
+    for var in variables:
+        out = out * vals[var] % p
+    return out
+
+
+def _slice_block(vd: np.ndarray, m: int) -> np.ndarray:
+    """The rows e_i (x) vd, i = 0..m."""
+    block = np.zeros((m + 1, m + 1, len(vd)), dtype=np.int64)
+    block[np.arange(m + 1), np.arange(m + 1)] = vd
+    return block.reshape(m + 1, -1)
 
 
 class PointConstraint(Enum):
@@ -165,26 +185,23 @@ def tangent_rows(point: Point, m: int, n: int, d: int, field: PrimeField) -> Den
         raise ValueError("embedding degree must be >= 1")
     p = field.p
     u = np.array(point.u, dtype=np.int64) % p
+    basis = monomial_basis(n, d)
     vlow = power_row(point.v, monomial_basis(n, d - 1), p)
-    mon = np.zeros((n + 1, len(monomial_basis(n, d))), dtype=np.int64)
+    mon = np.zeros((n + 1, len(basis)), dtype=np.int64)
     np.put_along_axis(mon, _raise_index(n, d), vlow[None, :], axis=1)
-    # products of residues stay below p^2 < 2^63; DenseMatrix reduces mod p
+    # products of residues stay below p^2 < 2^63; DenseMatrix reduces the
+    # whole stack mod p once
     derivs = (mon[:, None, :] * u[None, :, None]).reshape(n + 1, -1)
-    return DenseMatrix(np.vstack([y_rows(point, m, n, d, field).array, derivs]), field)
+    vd = power_row(point.v, basis, p)
+    return DenseMatrix(np.vstack([_slice_block(vd, m), derivs]), field)
 
 
 def y_rows(point: Point, m: int, n: int, d: int, field: PrimeField) -> DenseMatrix:
     """Rows spanning V (x) v^d, the V-slice through the point."""
     if len(point.u) != m + 1 or len(point.v) != n + 1:
         raise ValueError("point has wrong factor lengths")
-    p = field.p
-    basis = monomial_basis(n, d)
-    nmon = len(basis)
-    arr = np.zeros((m + 1, (m + 1) * nmon), dtype=np.int64)
-    vd = power_row(point.v, basis, p)
-    for i in range(m + 1):
-        arr[i, i * nmon:(i + 1) * nmon] = vd
-    return DenseMatrix(arr, field)
+    vd = power_row(point.v, monomial_basis(n, d), field.p)
+    return DenseMatrix(_slice_block(vd, m), field)
 
 
 def subspace_rows(indices: Sequence[int], m: int, n: int, d: int,

@@ -7,6 +7,9 @@ import os
 
 import pytest
 
+from secantdim import scan
+from secantdim.bounds import Statement, expected_dim
+from secantdim.field import PrimeField
 from secantdim.scan import (RECORD_FIELDS, defective_triples, evaluate_cell,
                             load_cache, records_to_csv, records_to_jsonl,
                             run_scan, s_values, scan_summary)
@@ -33,6 +36,53 @@ def test_scan_matches_golden():
     with open(os.path.join(GOLDEN, "scan_3_3.jsonl")) as fh:
         golden = [json.loads(line) for line in fh]
     assert [dict(r, ms=0) for r in records] == golden
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_profile_ranks_match_evaluate_cell(seed):
+    field = PrimeField()
+    for m in range(1, 5):
+        for n in range(1, 5):
+            s_top = max(s_values(m, n))
+            ranks = scan._profile_ranks(m, n, s_top, seed, field)
+            assert ranks[0] == 0 and len(ranks) == s_top + 1
+            for s in s_values(m, n):
+                assert ranks[s] == evaluate_cell(m, n, s, seed)["rank"], (m, n, s)
+
+
+def test_only_short_cells_are_measured_again(monkeypatch):
+    field = PrimeField()
+    short = set()
+    for m in range(1, 4):
+        for n in range(1, 4):
+            ranks = scan._profile_ranks(m, n, max(s_values(m, n)), 0, field)
+            short |= {(m, n, s) for s in s_values(m, n)
+                      if ranks[s] < expected_dim(Statement(m, n, 2, s, 0))}
+    assert short == {(2, 3, 5)}
+    calls = []
+    measure = scan.eval_statement_checked
+
+    def counting(st, **kwargs):
+        calls.append((st.m, st.n, st.s))
+        return measure(st, **kwargs)
+
+    monkeypatch.setattr(scan, "eval_statement_checked", counting)
+    records = run_scan(3, 3, seed=0, trials=3)
+    assert calls == sorted(short)
+    with open(os.path.join(GOLDEN, "scan_3_3.jsonl")) as fh:
+        golden = [json.loads(line) for line in fh]
+    assert [dict(r, ms=0) for r in records] == golden
+
+
+def test_profile_rank_above_expected_raises(monkeypatch):
+    profile = scan._profile_ranks
+
+    def inflated(m, n, s_top, seed, field):
+        return [r + 1 for r in profile(m, n, s_top, seed, field)]
+
+    monkeypatch.setattr(scan, "_profile_ranks", inflated)
+    with pytest.raises(ArithmeticError):
+        run_scan(2, 2, seed=0, trials=1)
 
 
 def test_serialization_roundtrip():

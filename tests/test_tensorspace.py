@@ -6,7 +6,7 @@ import pytest
 from secantdim.field import PRIMARY_PRIME, PrimeField, SeededRng, derive_seed, rank, vstack
 from secantdim.bounds import ambient_dim
 from secantdim.tensorspace import (MonomialBasis, Point, PointConstraint,
-                                   eval_power, monomial_basis, multinomial,
+                                   monomial_basis, multinomial,
                                    power_row, sample_point,
                                    sample_point_off_l, subspace_rows,
                                    tangent_rows, y_rows)
@@ -39,13 +39,34 @@ def test_multinomial():
     assert multinomial((2, 2)) == 6
 
 
+def _eval_power(v, mu, p):
+    """Reference in Python ints: multinomial(mu) * prod v_j^mu_j mod p."""
+    c = multinomial(mu) % p
+    for vj, e in zip(v, mu):
+        c = c * pow(int(vj) % p, e, p) % p
+    return c
+
+
 def test_eval_power_and_power_row():
-    # eval_power carries the multinomial coefficient of the monomial
-    p = F.p
-    assert eval_power((3, 5), (2, 0), p) == 9
-    assert eval_power((3, 5), (1, 1), p) == 30
-    row = power_row((3, 5), monomial_basis(1, 2), p)
+    # each entry carries the multinomial coefficient of its monomial:
+    # (3 x + 5 y)^2 = 9 x^2 + 30 x y + 25 y^2
+    row = power_row((3, 5), monomial_basis(1, 2), F.p)
     assert row.tolist() == [9, 30, 25]
+    with pytest.raises(ValueError):
+        power_row((3, 5, 7), monomial_basis(1, 2), F.p)
+
+
+@pytest.mark.parametrize("prime", [PRIMARY_PRIME, 3_037_000_493])
+def test_power_row_matches_monomial_loop(prime):
+    rng = SeededRng(derive_seed(16, "power", prime), PrimeField(prime))
+    for n in range(0, 7):
+        for d in range(0, 5):
+            basis = monomial_basis(n, d)
+            for v in (rng.elements(n + 1).tolist(), [prime - 1] * (n + 1),
+                      [0] * n + [prime - 1]):
+                got = power_row(v, basis, prime).tolist()
+                assert got == [_eval_power(v, mu, prime)
+                               for mu in basis.exponents], (n, d, v)
 
 
 def test_window_index_helpers():
@@ -117,14 +138,14 @@ def _tangent_rows_by_monomial(point, m, n, d, p):
     """Reference: each row u (x) v^(d-1) f_j built monomial by monomial,
     in Python ints, below the m + 1 rows e_i (x) v^d."""
     basis, lower = monomial_basis(n, d), monomial_basis(n, d - 1)
-    vd = [eval_power(point.v, mu, p) for mu in basis.exponents]
+    vd = [_eval_power(point.v, mu, p) for mu in basis.exponents]
     rows = [[0] * (i * len(basis)) + vd + [0] * ((m - i) * len(basis))
             for i in range(m + 1)]
     for j in range(n + 1):
         mon = [0] * len(basis)
         for nu in lower.exponents:
             mu = nu[:j] + (nu[j] + 1,) + nu[j + 1:]
-            mon[basis.index(mu)] = eval_power(point.v, nu, p)
+            mon[basis.index(mu)] = _eval_power(point.v, nu, p)
         rows.append([int(ui) * c % p for ui in point.u for c in mon])
     return rows
 
