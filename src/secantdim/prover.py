@@ -20,15 +20,19 @@ Proof rules, each a sound implication:
 * R_induction(...)     -- two-step induction on n at the certified
                           thresholds: a window certificate (R_under or
                           R_over) plus the statement for n - 2 yields the
-                          statement for n at s_under / s_over.
+                          statement for n at s_under / s_over.  Both
+                          thresholds share one chain, in the search and in
+                          check_proof alike.
 
 Split candidates are tried in the order used by the hand reductions: peel
 one factor (m' = m - 1, m'' = 0), giving the split-off factor one tangent
 point when the statement is subabundant and none when superabundant, then
 fall back to the remaining splits with m' decreasing (balanced splits last).
-Rank certificates are the last resort, and also the only way a defective
-statement could be misproved, which is why a `true` rank verdict is itself a
-proof (semicontinuity) and the checker replays it.
+Every split child has a smaller m, so the search needs no depth bound:
+MAX_VISITED is its only bound.  Rank certificates are the last resort, and
+also the only way a defective statement could be misproved, which is why a
+`true` rank verdict is itself a proof (semicontinuity) and the checker
+replays it.
 
 The prover never claims falsity: statements it cannot reach come back as
 unknown, with deficiency evidence recorded in the store when the rank oracle
@@ -150,6 +154,16 @@ def _m0_truth(n: int, d: int, s: int, t: int) -> bool | None:
     return None
 
 
+def _cert_seed(seed: int, *parts) -> int:
+    """Seed of a certificate the prover asks for; check_proof replays it."""
+    return derive_seed(seed, "prover", *parts)
+
+
+def _from_anchor(st: Statement, rule: str, anchor: ProofNode) -> ProofNode:
+    """The anchor itself when it proves st, else st by monotonicity from it."""
+    return anchor if anchor.statement == st else ProofNode(st, rule, (anchor,))
+
+
 class Prover:
     def __init__(self, store: StatementStore | None = None, seed: int = 0,
                  trials: int = 3, field: PrimeField | None = None):
@@ -163,11 +177,11 @@ class Prover:
 
     def prove(self, st: Statement) -> ProofNode | None:
         self._visited = 0
-        return self._prove(st, st.m + 2, anchors=True)
+        return self._prove(st, anchors=True)
 
     # -- search --------------------------------------------------------------
 
-    def _prove(self, st: Statement, depth: int, anchors: bool) -> ProofNode | None:
+    def _prove(self, st: Statement, anchors: bool) -> ProofNode | None:
         entry = self.store.get(st)
         if entry is not None and entry.status == PROVED:
             return entry.node
@@ -182,19 +196,12 @@ class Prover:
             return self._m0_base(st)
 
         node = self._monotone_from_store(st)
+        if node is None:
+            node = self._split_search(st)
+        if node is None and anchors and st.d == 2:
+            node = self._anchor(st)
         if node is not None:
             return self._record(st, node)
-
-        if depth > 0:
-            node = self._split_search(st, depth)
-            if node is not None:
-                return self._record(st, node)
-
-        if anchors and st.d == 2:
-            node = self._anchor(st)
-            if node is not None:
-                return self._record(st, node)
-
         return self._rank_leaf(st)
 
     def _record(self, st: Statement, node: ProofNode) -> ProofNode:
@@ -220,38 +227,29 @@ class Prover:
                 return ProofNode(st, "superabundant_monotone", (node,))
         return None
 
-    def _split_candidates(self, st: Statement):
+    @staticmethod
+    def _split_candidates(st: Statement, side: Abundance):
         m, s = st.m, st.s
-        side = classify(st)
-        seen = set()
-
-        def emit(mp, sp):
-            if 0 <= sp <= s and (mp, sp) not in seen:
-                seen.add((mp, sp))
-                yield mp, sp
-
-        if side is Abundance.SUPERABUNDANT or s == 0:
-            first = (m - 1, s)
-        else:
-            first = (m - 1, s - 1)
-        yield from emit(*first)
+        sp0 = s if side is Abundance.SUPERABUNDANT or s == 0 else s - 1
+        yield m - 1, sp0
         for mp in range(m - 1, m // 2 - 1, -1):
             for sp in range(s, -1, -1):
-                yield from emit(mp, sp)
+                if (mp, sp) != (m - 1, sp0):
+                    yield mp, sp
 
-    def _split_search(self, st: Statement, depth: int) -> ProofNode | None:
+    def _split_search(self, st: Statement) -> ProofNode | None:
         side = classify(st)
-        for mp, sp in self._split_candidates(st):
+        for mp, sp in self._split_candidates(st, side):
             mpp = st.m - 1 - mp
             spp = st.s - sp
             left = Statement(mp, st.n, st.d, sp, spp + st.t)
             right = Statement(mpp, st.n, st.d, spp, sp + st.t)
             if not (_side_ok(left, side) and _side_ok(right, side)):
                 continue
-            lnode = self._prove(left, depth - 1, anchors=True)
+            lnode = self._prove(left, anchors=True)
             if lnode is None:
                 continue
-            rnode = self._prove(right, depth - 1, anchors=True)
+            rnode = self._prove(right, anchors=True)
             if rnode is None:
                 continue
             rule = f"split({mp},{mpp},{sp},{spp})"
@@ -260,88 +258,56 @@ class Prover:
 
     def _anchor(self, st: Statement) -> ProofNode | None:
         m, n = st.m, st.n
-        if m < 1:
-            return None
-        if st.t == 0 and m <= n + 2:
-            su = s_under(m, n)
-            if 1 <= st.s <= su:
-                anchor = self.prove_R_induction(m, n)
-                if anchor is not None:
-                    if st.s == su:
-                        return anchor
-                    return ProofNode(st, "subabundant_monotone", (anchor,))
-        if m >= 2:
-            so = s_over(m, n)
-            if st.s >= so:
-                anchor = self._super_chain(m, n)
-                if anchor is not None:
-                    if st.s == so and st.t == 0:
-                        return anchor
-                    return ProofNode(st, "superabundant_monotone", (anchor,))
-        else:
-            # m = 1: the subabundant threshold n + 1 is equiabundant, so it
-            # anchors the superabundant side as well.
-            if st.s >= n + 1:
-                anchor = self.prove_R_induction(1, n)
-                if anchor is not None:
-                    return ProofNode(st, "superabundant_monotone", (anchor,))
+        if st.t == 0 and m <= n + 2 and 1 <= st.s <= s_under(m, n):
+            anchor = self._window_chain("Runder", m, n)
+            if anchor is not None:
+                return _from_anchor(st, "subabundant_monotone", anchor)
+        if m >= 2 and st.s >= s_over(m, n):
+            anchor = self._window_chain("Rover", m, n)
+            if anchor is not None:
+                return _from_anchor(st, "superabundant_monotone", anchor)
+        # m = 1: the subabundant threshold n + 1 is equiabundant, so it
+        # anchors the superabundant side as well.
+        if m == 1 and st.s >= n + 1:
+            anchor = self._window_chain("Runder", 1, n)
+            if anchor is not None:
+                return _from_anchor(st, "superabundant_monotone", anchor)
         return None
 
-    # -- threshold chains ----------------------------------------------------
-
-    def prove_R_induction(self, m: int, n: int) -> ProofNode | None:
-        """Prove T(m, n; 1, 2; s_under(m, n)) by the two-step window chain."""
-        if m < 1 or n < 0 or m > n + 2:
+    def _window_chain(self, kind: str, m: int, n: int) -> ProofNode | None:
+        """Prove T(m, n; 1, 2; s) at s = s_under(m, n) (kind "Runder") or
+        s = s_over(m, n) (kind "Rover"): the window certificate for (m, n)
+        plus the same chain at n - 2, down to a base case the search proves.
+        s_under vanishes only at the base case n = m - 2, where the search
+        records clamp_trivial.  The Runder chain reaches n = -1 from (1, 1)."""
+        if n < 0:
             return None
-        su = s_under(m, n)
-        st = Statement(m, n, 2, su, 0)
+        under = kind == "Runder"
+        st = Statement(m, n, 2, s_under(m, n) if under else s_over(m, n), 0)
         entry = self.store.get(st)
         if entry is not None and entry.status == PROVED:
             return entry.node
-        if su == 0:
-            return self._record(st, ProofNode(st, "clamp_trivial"))
-        if n <= m - 1:
-            return self._prove(st, st.m + 2, anchors=False)
-        verdict = certify_R_under(m, n, self._cert_seed("Runder", m, n),
-                                  self.trials, self.field)
+        if (n <= m - 1) if under else (n <= 1 or (m, n) == (2, 2)):
+            return self._prove(st, anchors=False)
+        # chosen per call: bench/tracing.py patches these module names
+        certify = certify_R_under if under else certify_R_over
+        verdict = certify(m, n, _cert_seed(self.seed, kind, m, n), self.trials,
+                          self.field)
         if verdict.outcome != OUTCOME_TRUE:
             return None
-        child = self.prove_R_induction(m, n - 2)
+        child = self._window_chain(kind, m, n - 2)
         if child is None:
             return None
-        node = ProofNode(st, f"R_induction(Runder({m},{n}))", (child,))
-        return self._record(st, node)
-
-    def _super_chain(self, m: int, n: int) -> ProofNode | None:
-        """Prove T(m, n; 1, 2; s_over(m, n)) by the superabundant chain."""
-        if m < 2:
-            return None
-        st = Statement(m, n, 2, s_over(m, n), 0)
-        entry = self.store.get(st)
-        if entry is not None and entry.status == PROVED:
-            return entry.node
-        if n <= 1 or (m == 2 and n == 2):
-            return self._prove(st, st.m + 2, anchors=False)
-        verdict = certify_R_over(m, n, self._cert_seed("Rover", m, n),
-                                 self.trials, self.field)
-        if verdict.outcome != OUTCOME_TRUE:
-            return None
-        child = self._super_chain(m, n - 2)
-        if child is None:
-            return None
-        node = ProofNode(st, f"R_induction(Rover({m},{n}))", (child,))
-        return self._record(st, node)
+        return self._record(st, ProofNode(st, f"R_induction({kind}({m},{n}))",
+                                          (child,)))
 
     # -- rank certificate leaves ----------------------------------------------
-
-    def _cert_seed(self, *parts) -> int:
-        return derive_seed(self.seed, "prover", *parts)
 
     def _rank_leaf(self, st: Statement) -> ProofNode | None:
         entry = self.store.get(st)
         if entry is not None and entry.status == DEFICIENT_EVIDENCE:
             return None
-        verdict = eval_statement(st, self._cert_seed("rank", *st.key),
+        verdict = eval_statement(st, _cert_seed(self.seed, "rank", *st.key),
                                  self.trials, self.field)
         if verdict.outcome == OUTCOME_TRUE:
             return self._record(st, ProofNode(st, "base_rank_certificate"))
@@ -399,8 +365,8 @@ def check_proof(node: ProofNode, seed: int = 0, trials: int = 3,
         return
 
     if rule == "base_rank_certificate":
-        cert_seed = derive_seed(seed, "prover", "rank", *st.key)
-        verdict = eval_statement(st, cert_seed, trials, field)
+        verdict = eval_statement(st, _cert_seed(seed, "rank", *st.key), trials,
+                                 field)
         if verdict.outcome != OUTCOME_TRUE:
             fail("rank certificate does not reproduce")
         if node.children:
@@ -459,9 +425,8 @@ def check_proof(node: ProofNode, seed: int = 0, trials: int = 3,
         want = Statement(cm, cn - 2, 2, threshold(cm, cn - 2), 0)
         if child != want:
             fail("window chain child mismatch")
-        cert_seed = derive_seed(seed, "prover", kind, cm, cn)
         cert = certify_R_under if kind == "Runder" else certify_R_over
-        verdict = cert(cm, cn, cert_seed, trials, field)
+        verdict = cert(cm, cn, _cert_seed(seed, kind, cm, cn), trials, field)
         if verdict.outcome != OUTCOME_TRUE:
             fail("window certificate does not reproduce")
         check_proof(node.children[0], seed, trials, field)

@@ -40,7 +40,7 @@ from contextlib import ExitStack
 import numpy as np
 
 from .bounds import (Statement, ambient_dim, classify, expected_dim,
-                     unbalanced_expected_dim, unbalanced_range)
+                     unbalanced_expected_dim)
 from .certificates import eval_statement_checked
 from .field import PRIMARY_PRIME, PrimeField, SeededRng, _eliminate, derive_seed
 from .prover import conjecture_verdict
@@ -50,8 +50,8 @@ RECORD_FIELDS = ("m", "n", "d", "s", "t", "expected", "rank", "defect",
                  "abundance", "conjecture", "agree", "seed", "prime", "ms")
 
 
-def s_values(m: int, n: int, d: int = 2) -> range:
-    top = -(-ambient_dim(m, n, d) // (m + n + 1)) + 1
+def s_values(m: int, n: int) -> range:
+    top = -(-ambient_dim(m, n, 2) // (m + n + 1)) + 1
     return range(1, top + 1)
 
 
@@ -210,8 +210,7 @@ def scan_summary(records: list[dict]) -> str:
         m, n, s = rec["m"], rec["n"], rec["s"]
         note = f"defective ({m},{n},{s}): rank {rec['rank']} < expected " \
                f"{rec['expected']} [{rec['conjecture']}]"
-        rng = unbalanced_range(m, n, 2)
-        if rng is not None and rng[0] < s < rng[1]:
+        if rec["conjecture"] == "defective:a":
             note += f"; unbalanced corrected dim {unbalanced_expected_dim(m, n, 2, s)}"
         lines.append(note)
     diff = [(r["m"], r["n"], r["s"]) for r in records if not r["agree"]]

@@ -166,10 +166,12 @@ def sample_point(rng: SeededRng, constraint: PointConstraint, m: int, n: int) ->
 
 
 def sample_point_off_l(rng: SeededRng, m: int, n: int) -> Point:
-    """Generic point that provably avoids P(V) x P(span(f_0..f_{n-2}))."""
+    """Generic point that provably avoids P(V) x P(span(f_0..f_{n-2})): some
+    W-coordinate outside the ON_L window is nonzero."""
+    on_l = PointConstraint.ON_L.window(n)
     while True:
         pt = sample_point(rng, PointConstraint.GENERIC, m, n)
-        if n == 0 or pt.v[n - 1] != 0 or pt.v[n] != 0:
+        if any(x for j, x in enumerate(pt.v) if j not in on_l):
             return pt
 
 

@@ -1,19 +1,22 @@
 """Inductive proof search, proof checking, conjecture comparison."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import random
+import re
 
 import pytest
 
 from secantdim import prover as prover_module
 from secantdim.bounds import Statement, is_subabundant, is_superabundant
-from secantdim.certificates import eval_statement
+from secantdim.certificates import OUTCOME_DEFICIENT, Verdict, eval_statement
 from secantdim.prover import (DEFICIENT_EVIDENCE, PROVED, ProofCheckError,
                               ProofNode, Prover, StatementStore, StoreEntry,
                               check_proof, conjecture_verdict, proof_to_dict,
                               proof_to_json)
+from secantdim.scan import s_values
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -88,6 +91,78 @@ def test_check_proof_rejects_tampering():
     bogus_base = ProofNode(Statement(0, 3, 2, 2, 0), "base_AH", ())
     with pytest.raises(ProofCheckError):
         check_proof(bogus_base)
+
+
+def _n(key, rule, *children):
+    return ProofNode(Statement(*key), rule, children)
+
+
+# One valid node per rule.  Each case below breaks one of them in one way.
+_CLAMP = _n((1, 2, 2, 0, 0), "clamp_trivial")
+_AH = _n((0, 3, 2, 1, 0), "base_AH")
+_RANK = _n((1, 2, 2, 2, 0), "base_rank_certificate")
+_SPLIT = _n((1, 2, 2, 4, 0), "split(0,0,3,1)",
+            _n((0, 2, 2, 3, 1), "base_AH"), _n((0, 2, 2, 1, 3), "base_AH"))
+_SUB = _n((1, 2, 2, 1, 0), "subabundant_monotone", _RANK)
+_SUPER = _n((1, 2, 2, 5, 1), "superabundant_monotone", _SPLIT)
+_RIND = _n((1, 2, 2, 3, 0), "R_induction(Runder(1,2))",
+           _n((1, 0, 2, 1, 0), "split(0,0,1,0)",
+              _n((0, 0, 2, 1, 0), "base_AH"), _n((0, 0, 2, 0, 1), "base_AH")))
+
+
+def _with(node, **changes):
+    if "statement" in changes:
+        changes["statement"] = Statement(*changes["statement"])
+    return dataclasses.replace(node, **changes)
+
+
+def _not_true(*args, **kwargs):
+    return Verdict(rank=0, expected=1, trials=1, outcome=OUTCOME_DEFICIENT)
+
+
+_REJECTIONS = [
+    # (node, name in prover to replace by a failing oracle, message)
+    (_with(_CLAMP, children=(_AH,)), None, "leaf rule with children"),
+    (_with(_AH, children=(_AH,)), None, "leaf rule with children"),
+    (_with(_RANK, children=(_AH,)), None, "leaf rule with children"),
+    (_with(_CLAMP, statement=(1, 2, 2, 1, 0)), None, "clamp_trivial needs s = t = 0"),
+    (_with(_CLAMP, statement=(1, 2, 2, 0, 1)), None, "clamp_trivial needs s = t = 0"),
+    (_with(_AH, statement=(1, 3, 2, 1, 0)), None, "base_AH needs m = 0"),
+    (_RANK, "eval_statement", "rank certificate does not reproduce"),
+    (_with(_SPLIT, children=_SPLIT.children[:1]), None, "split needs two children"),
+    (_with(_SPLIT, rule="split(0,0,4,0)",
+           children=(_n((0, 2, 2, 4, 0), "base_AH"), _n((0, 2, 2, 0, 4), "base_AH"))),
+     None, "split children leave the statement's abundance side"),
+    (_with(_SUB, children=()), None, "monotone needs one child"),
+    (_with(_SUB, children=(_n((1, 3, 2, 2, 0), "base_rank_certificate"),)), None,
+     "monotone across different (m, n, d)"),
+    (_with(_SUB, statement=(1, 2, 2, 3, 0)), None, "monotone child is not stronger"),
+    (_with(_SUB, children=(_SPLIT,)), None,
+     "subabundant monotone from a strictly superabundant anchor"),
+    (_with(_SUPER, statement=(1, 2, 2, 3, 0)), None, "monotone child is not stronger"),
+    (_with(_SUPER, children=(_RANK,)), None,
+     "superabundant monotone from a strictly subabundant anchor"),
+    (_with(_RIND, rule="R_induction(Runder(1,4))"), None,
+     "window chain indices mismatch"),
+    (_with(_RIND, statement=(1, 2, 2, 2, 0)), None, "window chain at the wrong threshold"),
+    (_with(_RIND, children=()), None, "window chain needs one child"),
+    (_with(_RIND, children=(_AH,)), None, "window chain child mismatch"),
+    (_RIND, "certify_R_under", "window certificate does not reproduce"),
+]
+
+
+def test_check_proof_accepts_the_rejection_tables_valid_nodes():
+    for node in (_CLAMP, _AH, _RANK, _SPLIT, _SUB, _SUPER, _RIND):
+        check_proof(node)
+
+
+@pytest.mark.parametrize("node, failing, message", _REJECTIONS,
+                         ids=[f"{i:02d}" for i in range(len(_REJECTIONS))])
+def test_check_proof_rejects_each_broken_rule(monkeypatch, node, failing, message):
+    if failing is not None:
+        monkeypatch.setattr(prover_module, failing, _not_true)
+    with pytest.raises(ProofCheckError, match=re.escape(message)):
+        check_proof(node)
 
 
 def test_check_proof_roundtrip_through_json():
@@ -213,3 +288,19 @@ def test_proved_statements_are_actually_true():
                     assert v.defect == 0, st
                     if t == 0:
                         assert (m, n, s) not in known_false, st
+
+
+# The md5 of every proof tree of the prover sweep (m <= 8, n <= 8, s in
+# s_values, in grid order, one prover and store).  A change that alters
+# proof trees on purpose updates the constant and says so in CHANGES.md.
+SWEEP_PROOFS_MD5 = "5426bca8238a465c16568446651f299b"
+
+
+def test_sweep_proof_trees_are_pinned():
+    prover = Prover(seed=1)
+    out = [proof_to_json(node) if node is not None else "unknown"
+           for node in (prover.prove(Statement(m, n, 2, s, 0))
+                        for m in range(0, 9) for n in range(1, 9)
+                        for s in s_values(m, n))]
+    assert (len(out), out.count("unknown"), len(prover.store)) == (739, 33, 2318)
+    assert hashlib.md5("\n".join(out).encode()).hexdigest() == SWEEP_PROOFS_MD5
