@@ -8,8 +8,9 @@ dimension (all dimensions here are affine, for the cones).
 
 This module holds the closed-form side: ambient and expected dimensions, the
 sub/super/equiabundant trichotomy, the certified thresholds for d = 2, the
-unbalanced range, and the classical table of defective Veronese double-point
-systems with its minimal filling count, used for the m = 0 base cases.
+unbalanced range, the conjectured defect list for d = 2, and the classical
+table of defective Veronese double-point systems with its minimal filling
+count, used for the m = 0 base cases.
 """
 
 from __future__ import annotations
@@ -133,6 +134,19 @@ def unbalanced_range(m: int, n: int, d: int) -> tuple[int, int] | None:
     if hi <= lo + 1:
         return None
     return lo, hi
+
+
+def conjecture_verdict(m: int, n: int, s: int) -> str:
+    """Classification of (m, n, s) for d = 2 by the conjectured defect list:
+    (a) the unbalanced range, (b) (2, 2k+1, 3k+2), (c) (4, 3, 6)."""
+    rng = unbalanced_range(m, n, 2)
+    if rng is not None and rng[0] < s < rng[1]:
+        return "defective:a"
+    if m == 2 and n >= 3 and n % 2 == 1 and s == 3 * (n // 2) + 2:
+        return "defective:b"
+    if (m, n, s) == (4, 3, 6):
+        return "defective:c"
+    return "nondefective"
 
 
 def unbalanced_expected_dim(m: int, n: int, d: int, s: int) -> int:

@@ -1,17 +1,19 @@
 """Rank certificates for secant dimension statements.
 
-The basic oracle stacks tangent rows for s seeded generic points and V-slice
-rows for t more, then measures the rank over F_p.  Rank is lower
-semicontinuous, so measuring the expected dimension at one specialization
-proves the statement; a shortfall is only evidence of deficiency and gets
-cross-checked over a second prime before it is reported.
+A configuration stacks row blocks in V (x) S_d(W): coordinate blocks
+V (x) S_d(U) on windows U of W, tangent spaces at points drawn in order under
+their constraints and then at generic points off the first codimension-2
+window, and V-slices V (x) v^d at generic points, drawn last.  The basic
+oracle stacks s generic tangent spaces and t V-slices and measures the rank
+over F_p.  Rank is lower semicontinuous, so measuring the expected dimension
+at one specialization proves the statement; a shortfall is only evidence of
+deficiency and gets cross-checked over a second prime before it is reported.
 
-The full stack is never eliminated.  Each block spans V (x) Y' for a Y' in
-S_d(W) (rows e_i (x) v^d of a tangent space, a V-slice, a coordinate block
-V (x) S_d(U)) or is rows u (x) v^(d-1) f_j, so with Y the sum of the Y',
-rank = (m+1) dim Y + rank(u (x) v^(d-1) f_j rows mod V (x) Y).  This is an
-identity for the specialized matrix: the rank is that of the full stack, and
-a `true` verdict is still a proof.
+The full stack is never eliminated.  Every block but the rows
+u (x) v^(d-1) f_j of a tangent space spans V (x) Y' for a Y' in S_d(W), so
+with Y the sum of the Y', rank = (m+1) dim Y + rank(rest mod V (x) Y).  This
+is an identity for the specialized matrix: the rank is that of the full
+stack, and a `true` verdict is still a proof.
 
 Four specialized configurations degenerate some points onto the two
 codimension-2 windows of W and adjoin the full coordinate blocks
@@ -46,7 +48,6 @@ from .tensorspace import (Point, PointConstraint, sample_point,
 OUTCOME_TRUE = "true"
 OUTCOME_DEFICIENT = "deficient"
 
-_DEFAULT_FIELD = PrimeField(PRIMARY_PRIME)
 # How often eval_statement_checked re-derives the seed when the two primes
 # disagree before it gives up.
 _MAX_RESEEDS = 3
@@ -69,87 +70,68 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class ConfigBlock:
-    """One block of rows: a tangent space, a V-slice, or a coordinate block.
-
-    role is one of "tangent", "y_span", "subspace_block".  The constraint
-    names the window: point blocks sample on it, subspace blocks span
-    V (x) S_d of it.  off_l additionally rejects point samples lying over
-    the first codim-2 window.
-    """
-
-    role: str
-    constraint: PointConstraint = PointConstraint.GENERIC
-    off_l: bool = False
-
-
-@dataclass(frozen=True)
 class Configuration:
+    """Coordinate blocks on the windows, one tangent space per constraint in
+    tangents, off_l more off the ON_L window, and slices V-slices."""
+
     m: int
     n: int
     d: int
-    blocks: tuple[ConfigBlock, ...]
+    windows: tuple[PointConstraint, ...] = ()
+    tangents: tuple[PointConstraint, ...] = ()
+    off_l: int = 0
+    slices: int = 0
 
-    def pieces(self, rng: SeededRng, field: PrimeField) -> list[tuple[DenseMatrix, int]]:
-        """Each block's rows, drawing points in block order, with the number
-        of its leading rows that span V (x) Y: all but a tangent's last n+1."""
-        out = []
-        for blk in self.blocks:
-            if blk.role == "subspace_block":
-                mat = subspace_rows(blk.constraint.window(self.n),
-                                    self.m, self.n, self.d, field)
-            elif blk.role in ("tangent", "y_span"):
-                build = tangent_rows if blk.role == "tangent" else y_rows
-                mat = build(self._sample(blk, rng), self.m, self.n, self.d, field)
-            else:
-                raise ValueError(f"unknown block role {blk.role!r}")
-            out.append((mat, self.m + 1 if blk.role == "tangent" else mat.rows))
-        return out
-
-    def _sample(self, blk: ConfigBlock, rng: SeededRng) -> Point:
-        if blk.off_l:
-            return sample_point_off_l(rng, self.m, self.n)
-        return sample_point(rng, blk.constraint, self.m, self.n)
+    def draw(self, rng: SeededRng) -> tuple[list[Point], list[Point]]:
+        """The tangent points and the V-slice points, in that draw order."""
+        m, n = self.m, self.n
+        points = [sample_point(rng, c, m, n) for c in self.tangents]
+        points += [sample_point_off_l(rng, m, n) for _ in range(self.off_l)]
+        ys = [sample_point(rng, PointConstraint.GENERIC, m, n)
+              for _ in range(self.slices)]
+        return points, ys
 
 
 def statement_config(st: Statement) -> Configuration:
-    blocks = tuple(ConfigBlock("tangent") for _ in range(st.s))
-    blocks += tuple(ConfigBlock("y_span") for _ in range(st.t))
-    return Configuration(st.m, st.n, st.d, blocks)
+    return Configuration(st.m, st.n, st.d,
+                         tangents=(PointConstraint.GENERIC,) * st.s, slices=st.t)
 
 
-def _span_rank(pieces: list[tuple[DenseMatrix, int]], m: int, n: int, d: int,
-               field: PrimeField) -> int:
-    """Rank of the stacked pieces (mat, h): the first h rows of mat are
-    e_i (x) y, i = 0..m for each of h / (m+1) vectors y spanning part of Y,
-    the rest are rows q.  rank = (m+1) dim Y + rank(q mod V (x) Y), where
-    V (x) Y = sum_i e_i (x) Y lets each S_d(W)-slice of q be reduced alone."""
+def _span_rank(m: int, n: int, d: int, field: PrimeField,
+               windows: tuple[PointConstraint, ...], points: list[Point],
+               ys: list[Point]) -> int:
+    """Rank of the coordinate blocks on the windows, the tangent spaces at
+    points and the V-slices at ys, stacked.  All rows of a window or slice
+    block and a tangent's first m+1 are e_i (x) y, i = 0..m, for y spanning
+    Y; a tangent's other rows are q.  rank = (m+1) dim Y + rank(q mod V (x) Y),
+    where V (x) Y = sum_i e_i (x) Y lets each S_d(W)-slice of q be reduced
+    alone."""
     nmon = ambient_dim(0, n, d)  # dim S_d(W)
-    gens, rest = [], []
-    for mat, h in pieces:
-        if mat.cols != (m + 1) * nmon:
-            raise ValueError("configuration blocks disagree on columns")
-        gens.append(mat.array[:h // (m + 1), :nmon])
-        rest.append(mat.array[h:])
-    q = np.vstack(rest)
-    dim_y, slices = reduce_rows(DenseMatrix(np.vstack(gens), field),
-                                DenseMatrix(q.reshape(-1, nmon), field))
-    rows = slices.array.reshape(len(q), (m + 1) * slices.cols)
+    spans = [subspace_rows(w.window(n), m, n, d, field) for w in windows]
+    tangents = [tangent_rows(pt, m, n, d, field) for pt in points]
+    slices = [y_rows(y, m, n, d, field) for y in ys]
+    if any(mat.cols != (m + 1) * nmon for mat in spans + tangents + slices):
+        raise ValueError("configuration blocks disagree on columns")
+    gens = [mat.array[:mat.rows // (m + 1), :nmon] for mat in spans]
+    gens += [mat.array[:1, :nmon] for mat in tangents + slices]
+    q = np.vstack([np.empty((0, (m + 1) * nmon), dtype=np.int64)]  # no points
+                  + [mat.array[m + 1:] for mat in tangents])
+    dim_y, rest = reduce_rows(DenseMatrix(np.vstack(gens), field),
+                              DenseMatrix(q.reshape(-1, nmon), field))
+    rows = rest.array.reshape(len(q), (m + 1) * rest.cols)
     return (m + 1) * dim_y + rank(DenseMatrix(rows, field))
 
 
 def _measure(config: Configuration, expected: int, seed: int, trials: int,
-             field: PrimeField | None, label: tuple) -> Verdict:
-    """Evaluate a configuration up to `trials` times, stopping at success.
-    The field defaults to F_p for the primary prime."""
+             field: PrimeField, label: tuple) -> Verdict:
+    """Evaluate a configuration up to `trials` times, stopping at success."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    field = field or _DEFAULT_FIELD
     best = -1
     for trial in range(trials):
-        rng = SeededRng(derive_seed(seed, *label, trial), field)
-        r = _span_rank(config.pieces(rng, field), config.m, config.n,
-                       config.d, field)
+        points, ys = config.draw(SeededRng(derive_seed(seed, *label, trial), field))
+        r = _span_rank(config.m, config.n, config.d, field, config.windows,
+                       points, ys)
         if r > expected:
             raise ArithmeticError(
                 f"rank {r} exceeds expected {expected}; semicontinuity violated")
@@ -161,7 +143,7 @@ def _measure(config: Configuration, expected: int, seed: int, trials: int,
 
 
 def eval_statement(st: Statement, seed: int = 0, trials: int = 3,
-                   field: PrimeField | None = None) -> Verdict:
+                   field: PrimeField = PrimeField()) -> Verdict:
     """Probabilistic-exact oracle for S(m, n; 1, d; s; t).
 
     A `true` outcome is a certificate.  A `deficient` outcome means every
@@ -175,14 +157,14 @@ def eval_statement(st: Statement, seed: int = 0, trials: int = 3,
 
 
 def eval_statement_checked(st: Statement, seed: int = 0, trials: int = 3,
-                           field: PrimeField | None = None) -> Verdict:
+                           field: PrimeField = PrimeField()) -> Verdict:
     """Like eval_statement, but a deficient verdict must be reproduced with
     the same rank over a second prime: the secondary prime, or the primary
     one when field is already the secondary.  On disagreement both
     measurements are redone with a re-derived seed; persistent disagreement
     raises."""
-    on_secondary = field is not None and field.p == SECONDARY_PRIME
-    second = PrimeField(PRIMARY_PRIME if on_secondary else SECONDARY_PRIME)
+    second = PrimeField(PRIMARY_PRIME if field.p == SECONDARY_PRIME
+                        else SECONDARY_PRIME)
     attempt_seed = seed
     for attempt in range(_MAX_RESEEDS + 1):
         v1 = eval_statement(st, attempt_seed, trials, field)
@@ -201,15 +183,12 @@ def q_config(m: int, n: int) -> Configuration:
         raise ValueError("Q certificate needs n >= 3 (disjoint windows)")
     if m < 1:
         raise ValueError("Q certificate needs m >= 1")
-    blocks = (ConfigBlock("subspace_block", PointConstraint.ON_L),
-              ConfigBlock("subspace_block", PointConstraint.ON_M))
-    blocks += tuple(ConfigBlock("tangent", PointConstraint.ON_L) for _ in range(m + 1))
-    blocks += tuple(ConfigBlock("tangent", PointConstraint.ON_M) for _ in range(m + 1))
-    return Configuration(m, n, 2, blocks)
+    on_l, on_m = PointConstraint.ON_L, PointConstraint.ON_M
+    return Configuration(m, n, 2, (on_l, on_m), (on_l,) * (m + 1) + (on_m,) * (m + 1))
 
 
 def certify_Q(m: int, n: int, seed: int = 0, trials: int = 3,
-              field: PrimeField | None = None) -> Verdict:
+              field: PrimeField = PrimeField()) -> Verdict:
     """Both coordinate blocks plus m+1 tangents on each window span everything."""
     expected = ambient_dim(m, n, 2)
     return _measure(q_config(m, n), expected, seed, trials, field, ("Q", m, n))
@@ -219,10 +198,8 @@ def _r_config(m: int, n: int, s: int) -> Configuration:
     on_l = s - (m + 1)
     if on_l < 0:
         raise ValueError(f"certificate needs s >= m + 1, got s = {s}")
-    blocks = (ConfigBlock("subspace_block", PointConstraint.ON_L),)
-    blocks += tuple(ConfigBlock("tangent", PointConstraint.ON_L) for _ in range(on_l))
-    blocks += tuple(ConfigBlock("tangent", off_l=True) for _ in range(m + 1))
-    return Configuration(m, n, 2, blocks)
+    window = PointConstraint.ON_L
+    return Configuration(m, n, 2, (window,), (window,) * on_l, off_l=m + 1)
 
 
 def r_under_expected(m: int, n: int) -> int:
@@ -232,7 +209,7 @@ def r_under_expected(m: int, n: int) -> int:
 
 
 def certify_R_under(m: int, n: int, seed: int = 0, trials: int = 3,
-                    field: PrimeField | None = None) -> Verdict:
+                    field: PrimeField = PrimeField()) -> Verdict:
     """First window block, s_under(m,n)-(m+1) tangents on it, m+1 off it."""
     if not (1 <= m <= n):
         raise ValueError("R_under certificate needs 1 <= m <= n")
@@ -242,7 +219,7 @@ def certify_R_under(m: int, n: int, seed: int = 0, trials: int = 3,
 
 
 def certify_R_over(m: int, n: int, seed: int = 0, trials: int = 3,
-                   field: PrimeField | None = None) -> Verdict:
+                   field: PrimeField = PrimeField()) -> Verdict:
     """Same shape at the superabundant threshold; expected full."""
     if m < 2 or n < 2:
         raise ValueError("R_over certificate needs m >= 2 and n >= 2")
@@ -252,7 +229,7 @@ def certify_R_over(m: int, n: int, seed: int = 0, trials: int = 3,
 
 
 def certify_R2n(n: int, seed: int = 0, trials: int = 3,
-                field: PrimeField | None = None) -> Verdict:
+                field: PrimeField = PrimeField()) -> Verdict:
     """The m = 2, n odd configuration at s = 3*floor(n/2)+2; expected full."""
     if n < 3 or n % 2 == 0:
         raise ValueError("R2n certificate needs odd n >= 3")
@@ -260,7 +237,7 @@ def certify_R2n(n: int, seed: int = 0, trials: int = 3,
     return _measure(config, ambient_dim(2, n, 2), seed, trials, field, ("R2n", n))
 
 
-def witness_Rmm(m: int, field: PrimeField | None = None) -> bool:
+def witness_Rmm(m: int, field: PrimeField = PrimeField()) -> bool:
     """Deterministic spanning witness on P^m x P^m.
 
     Stacks V (x) S_2(span(f_2..f_m)) with the tangent spaces at the m+1
@@ -271,17 +248,15 @@ def witness_Rmm(m: int, field: PrimeField | None = None) -> bool:
     """
     if m < 2:
         raise ValueError("witness needs m >= 2")
-    field = field or _DEFAULT_FIELD
     if field.p <= m:
         raise ValueError("field characteristic must exceed m")
-    n = m
-    window = subspace_rows(PointConstraint.ON_M.window(m), m, n, 2, field)
-    pieces = [(window, window.rows)]
+    points = []
     for i in range(m + 1):
         u = tuple(1 if j == i else 0 for j in range(m + 1))
-        v = [0] * (n + 1)
+        v = [0] * (m + 1)
         v[i] = 1
         if i >= 2:
             v[0], v[1] = i, 1
-        pieces.append((tangent_rows(Point(u, tuple(v)), m, n, 2, field), m + 1))
-    return _span_rank(pieces, m, n, 2, field) == ambient_dim(m, n, 2)
+        points.append(Point(u, tuple(v)))
+    return (_span_rank(m, m, 2, field, (PointConstraint.ON_M,), points, [])
+            == ambient_dim(m, m, 2))

@@ -43,6 +43,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _count(text: str) -> int:
+    """A count flag (--trials, --jobs): an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="secantdim",
                      description="dimension certificates for secant varieties "
@@ -53,24 +64,25 @@ def build_parser() -> _Parser:
     common.add_argument("--out", type=str, default=None)
     # subcommands that measure ranks by seeded trials
     trials = argparse.ArgumentParser(add_help=False, parents=[common])
-    trials.add_argument("--trials", type=int, default=3)
+    trials.add_argument("--trials", type=_count, default=3)
+    # subcommands that take one statement S(m, n; 1, d; s; t)
+    statement = argparse.ArgumentParser(add_help=False, parents=[trials])
+    statement.add_argument("--m", type=int, required=True)
+    statement.add_argument("--n", type=int, required=True)
+    statement.add_argument("--d", type=int, default=2)
+    statement.add_argument("--s", type=int, required=True)
+    statement.add_argument("--t", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("dim", parents=[trials],
-                       help="measure one statement")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, default=0)
+    sub.add_parser("dim", parents=[statement], help="measure one statement")
 
     p = sub.add_parser("scan", parents=[trials],
                        help="sweep a grid for defective secant varieties")
     p.add_argument("--max-m", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--cache", type=str, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_count, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("certify", parents=[trials],
@@ -79,13 +91,8 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
 
-    p = sub.add_parser("prove", parents=[trials],
-                       help="search for an inductive proof")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, default=0)
+    sub.add_parser("prove", parents=[statement],
+                   help="search for an inductive proof")
 
     p = sub.add_parser("strassen", parents=[common],
                        help="skew-matrix rank/Pfaffian for a (1,2) tensor")
@@ -141,6 +148,13 @@ def cmd_certify(args) -> int:
     if missing:
         flags = ", ".join(f"--{p}" for p in missing)
         print(f"secantdim certify {name}: missing {flags}", file=sys.stderr)
+        return EXIT_USAGE
+    unused = [p for p in ("m", "n") if p not in required
+              and getattr(args, p) is not None]
+    if unused:
+        flags = ", ".join(f"--{p}" for p in unused)
+        print(f"secantdim certify {name}: {name} takes no {flags}",
+              file=sys.stderr)
         return EXIT_USAGE
     params = {p: getattr(args, p) for p in required}
     field = PrimeField(args.prime)

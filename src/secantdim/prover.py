@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 from .bounds import (Abundance, Statement, ambient_dim, ah_veronese_true,
                      classify, is_subabundant, is_superabundant,
-                     min_filling_true, s_over, s_under, unbalanced_range)
+                     min_filling_true, s_over, s_under)
 from .certificates import (OUTCOME_TRUE, certify_R_over, certify_R_under,
                            eval_statement)
 from .field import PrimeField, derive_seed
@@ -166,7 +166,7 @@ def _from_anchor(st: Statement, rule: str, anchor: ProofNode) -> ProofNode:
 
 class Prover:
     def __init__(self, store: StatementStore | None = None, seed: int = 0,
-                 trials: int = 3, field: PrimeField | None = None):
+                 trials: int = 3, field: PrimeField = PrimeField()):
         self.store = store if store is not None else StatementStore()
         self.seed = seed
         self.trials = trials
@@ -315,19 +315,6 @@ class Prover:
         return None
 
 
-def conjecture_verdict(m: int, n: int, s: int) -> str:
-    """Classification of (m, n, s) for d = 2 by the conjectured defect list:
-    (a) the unbalanced range, (b) (2, 2k+1, 3k+2), (c) (4, 3, 6)."""
-    rng = unbalanced_range(m, n, 2)
-    if rng is not None and rng[0] < s < rng[1]:
-        return "defective:a"
-    if m == 2 and n >= 3 and n % 2 == 1 and s == 3 * (n // 2) + 2:
-        return "defective:b"
-    if (m, n, s) == (4, 3, 6):
-        return "defective:c"
-    return "nondefective"
-
-
 class ProofCheckError(AssertionError):
     pass
 
@@ -337,7 +324,7 @@ _RIND_RE = re.compile(r"^R_induction\((Runder|Rover)\((\d+),(\d+)\)\)$")
 
 
 def check_proof(node: ProofNode, seed: int = 0, trials: int = 3,
-                field: PrimeField | None = None) -> None:
+                field: PrimeField = PrimeField()) -> None:
     """Re-validate every rule application in a proof tree, independently of
     the search that produced it.  Raises ProofCheckError on any violation.
     Rank-certificate leaves are re-measured with the prover's seed schedule.

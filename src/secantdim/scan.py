@@ -39,11 +39,10 @@ from contextlib import ExitStack
 
 import numpy as np
 
-from .bounds import (Statement, ambient_dim, classify, expected_dim,
-                     unbalanced_expected_dim)
+from .bounds import (Statement, ambient_dim, classify, conjecture_verdict,
+                     expected_dim, unbalanced_expected_dim)
 from .certificates import eval_statement_checked
 from .field import PRIMARY_PRIME, PrimeField, SeededRng, _eliminate, derive_seed
-from .prover import conjecture_verdict
 from .tensorspace import PointConstraint, sample_point, tangent_rows
 
 RECORD_FIELDS = ("m", "n", "d", "s", "t", "expected", "rank", "defect",

@@ -8,7 +8,8 @@ import pytest
 
 from secantdim.bounds import (AH_EXCEPTIONS, Abundance, Statement,
                               ah_veronese_true, ambient_dim, classify,
-                              expected_dim, is_subabundant, is_superabundant,
+                              conjecture_verdict, expected_dim,
+                              is_subabundant, is_superabundant,
                               min_filling_true, q_bound, r_bound, s_over,
                               s_under, span_count, unbalanced_expected_dim,
                               unbalanced_range)
@@ -161,3 +162,13 @@ def test_unbalanced_range_against_measured_ranks():
             verdict = eval_statement(Statement(m, n, 2, s, 0), seed=7)
             assert verdict.defect > 0, (m, n, s)
             assert verdict.rank == unbalanced_expected_dim(m, n, 2, s), (m, n, s)
+
+
+def test_conjecture_verdict_classes():
+    assert conjecture_verdict(2, 3, 5) == "defective:b"
+    assert conjecture_verdict(2, 5, 8) == "defective:b"
+    assert conjecture_verdict(4, 3, 6) == "defective:c"
+    assert conjecture_verdict(5, 2, 5) == "defective:a"
+    assert conjecture_verdict(6, 2, 5) == "defective:a"
+    assert conjecture_verdict(2, 3, 4) == "nondefective"
+    assert conjecture_verdict(3, 3, 4) == "nondefective"

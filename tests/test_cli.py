@@ -107,6 +107,16 @@ def test_scan_jobs_matches_serial(capsys):
     ("dim", "--m", "1", "--n", "1", "--s", "1", "--format", "csv"),
     ("strassen", "--k", "1", "--trials", "3"),
     ("certify", "strassen", "--k", "1"),
+    ("scan", "--max-m", "2", "--max-n", "2", "--trials", "0"),
+    ("scan", "--max-m", "2", "--max-n", "3", "--trials", "0"),
+    ("scan", "--max-m", "1", "--max-n", "1", "--jobs", "0"),
+    ("scan", "--max-m", "1", "--max-n", "1", "--jobs", "-4"),
+    ("dim", "--m", "1", "--n", "1", "--s", "1", "--trials", "0"),
+    ("prove", "--m", "1", "--n", "1", "--s", "1", "--trials", "0"),
+    ("prove", "--m", "2", "--n", "3", "--s", "4", "--trials", "-1"),
+    ("certify", "Q", "--m", "1", "--n", "3", "--trials", "0"),
+    ("certify", "R2n", "--n", "5", "--m", "7"),
+    ("certify", "witnessRmm", "--m", "3", "--n", "9"),
 ])
 def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
     assert run(capsys, *argv)[0] == 64
@@ -141,8 +151,9 @@ def test_byte_identical_reruns(tmp_path, capsys):
         assert main(["scan", "--max-m", "2", "--max-n", "2",
                      "--out", target]) == 0
     capsys.readouterr()
-    ra = [dict(json.loads(x), ms=0) for x in open(a)]
-    rb = [dict(json.loads(x), ms=0) for x in open(b)]
+    with open(a) as fa, open(b) as fb:
+        ra = [dict(json.loads(x), ms=0) for x in fa]
+        rb = [dict(json.loads(x), ms=0) for x in fb]
     assert ra == rb
 
 
@@ -156,7 +167,9 @@ def test_secondary_prime_flag(capsys):
 def test_scan_cache_flag(tmp_path, capsys):
     cache = str(tmp_path / "cache.jsonl")
     assert main(["scan", "--max-m", "2", "--max-n", "2", "--cache", cache]) == 0
-    first = sum(1 for _ in open(cache))
+    with open(cache) as fh:
+        first = sum(1 for _ in fh)
     assert main(["scan", "--max-m", "3", "--max-n", "2", "--cache", cache]) == 0
     capsys.readouterr()
-    assert sum(1 for _ in open(cache)) > first
+    with open(cache) as fh:
+        assert sum(1 for _ in fh) > first

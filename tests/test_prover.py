@@ -14,8 +14,7 @@ from secantdim.bounds import Statement, is_subabundant, is_superabundant
 from secantdim.certificates import OUTCOME_DEFICIENT, Verdict, eval_statement
 from secantdim.prover import (DEFICIENT_EVIDENCE, PROVED, ProofCheckError,
                               ProofNode, Prover, StatementStore, StoreEntry,
-                              check_proof, conjecture_verdict, proof_to_dict,
-                              proof_to_json)
+                              check_proof, proof_to_dict, proof_to_json)
 from secantdim.scan import s_values
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -259,16 +258,6 @@ def test_deficient_rank_leaf_is_not_measured_twice(monkeypatch):
     first = len(calls)
     assert prover.prove(st) is None
     assert len(calls) == first
-
-
-def test_conjecture_verdict_classes():
-    assert conjecture_verdict(2, 3, 5) == "defective:b"
-    assert conjecture_verdict(2, 5, 8) == "defective:b"
-    assert conjecture_verdict(4, 3, 6) == "defective:c"
-    assert conjecture_verdict(5, 2, 5) == "defective:a"
-    assert conjecture_verdict(6, 2, 5) == "defective:a"
-    assert conjecture_verdict(2, 3, 4) == "nondefective"
-    assert conjecture_verdict(3, 3, 4) == "nondefective"
 
 
 def test_proved_statements_are_actually_true():
