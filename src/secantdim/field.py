@@ -7,10 +7,19 @@ specialization is at most the generic rank, so hitting the expected value is
 a proof, while a shortfall is strong evidence that is cross-checked over a
 second prime.
 
-Entries are canonical residues in [0, p) held in int64 arrays.  The modulus
-is capped so that a product of two residues, plus one more residue, still
-fits in a signed 64-bit word; every elimination step below stays exact under
-that bound.
+Entries are canonical residues in [0, p) held in int64 arrays.  Rank,
+determinant and reduction modulo a row space share one blocked elimination,
+exact under two bounds:
+
+* int64 steps (a panel's row operations, bringing its pivot rows up to
+  date): the modulus is capped so that a product of two residues, plus one
+  more residue, still fits in a signed 64-bit word;
+* the float64 trailing update of a panel with k pivots: two GEMMs on the
+  16-bit limbs of one factor, whose partial sums stay exact integers while
+  k (p-1)(2^16-1) < 2^53.  That allows k <= 45 at the top modulus and
+  k <= 64 at 2^31 - 1, so panels are 32 columns wide.  The product checks
+  the bound and raises past it: a rounded update could read a rank too
+  high, and a rank that reaches the expected value counts as a proof.
 """
 
 from __future__ import annotations
@@ -28,6 +37,13 @@ SECONDARY_PRIME = 2**31 + 11
 _MIN_MODULUS = 2**31 - 1
 # Largest p with (p - 1)^2 + p < 2^63.
 _MAX_MODULUS = 3_037_000_499
+
+# Elimination panel width and the limb width of its float64 products:
+# 32 (p - 1)(2^16 - 1) < 2^53 for every supported p.
+_PANEL = 32
+_LIMB_BITS = 16
+# Rows per block of the trailing update, which bounds its scratch arrays.
+_BLOCK_ROWS = 64
 
 
 def _is_prime(n: int) -> bool:
@@ -109,26 +125,79 @@ def vstack(mats: Sequence[DenseMatrix]) -> DenseMatrix:
     return DenseMatrix(np.vstack([m.array for m in mats]), field)
 
 
+def _sub_product(c: np.ndarray, l: np.ndarray, u: np.ndarray, p: int) -> None:
+    """c <- (c - l u) mod p in place, for residues c, l (r x k) and u (k x s).
+
+    l u runs as two float64 GEMMs, one per 16-bit limb of u.  Each entry of
+    such a product is a sum of k terms below (p-1)(2^16-1), so every partial
+    sum is an exact float64 integer while k (p-1)(2^16-1) < 2^53; past that
+    bound this raises instead of rounding.  The rows of c go in blocks of
+    _BLOCK_ROWS, so the float and int scratch stays that small."""
+    k = l.shape[1]
+    if k * (p - 1) * (2**_LIMB_BITS - 1) >= 2**53:
+        raise OverflowError(f"a product of depth {k} mod {p} is not exact "
+                            f"in float64")
+    mask = 2**_LIMB_BITS - 1
+    limbs = [(shift, ((u >> shift) & mask).astype(np.float64))
+             for shift in (_LIMB_BITS, 0)]
+    fbuf = np.empty((min(_BLOCK_ROWS, len(c)), c.shape[1]))
+    ibuf = np.empty(fbuf.shape, dtype=np.int64)
+    for lo in range(0, len(c), _BLOCK_ROWS):
+        block = c[lo:lo + _BLOCK_ROWS]
+        lf = l[lo:lo + _BLOCK_ROWS].astype(np.float64)
+        fprod, iprod = fbuf[:len(block)], ibuf[:len(block)]
+        for shift, limb in limbs:
+            np.matmul(lf, limb, out=fprod)
+            np.copyto(iprod, fprod, casting="unsafe")
+            iprod %= p
+            iprod <<= shift
+            block -= iprod
+        block %= p
+
+
 def _eliminate(a: np.ndarray, p: int, npiv: int) -> list[int]:
     """Forward elimination in place on the residues a, pivoting in the first
-    npiv rows only; returns the pivot columns.  A pivot updates the rows below
-    it from its own column on, the columns to its left being zero there.  A
-    row exchange negates one of the two rows, which keeps the determinant."""
+    npiv rows only; returns the pivot columns.  Row i then holds the i-th
+    row of a row echelon form from column pivots[i] on, the rows from npiv
+    on hold their reduction modulo the pivot rows on the non-pivot columns,
+    and the entries below each pivot hold its multipliers.  A row exchange
+    negates one of the two rows, which keeps the determinant.
+
+    The columns go in panels of _PANEL.  Within a panel each pivot updates
+    the rows below it on the panel's columns only and leaves its multipliers
+    in its own column.  Then the panel's k pivot rows are brought up to date
+    on the columns right of the panel, and the rows below them get the
+    trailing update A22 -= L21 U12 as one exact product (_sub_product)."""
+    cols = a.shape[1]
     r, pivots = 0, []
-    for col in range(a.shape[1]):
+    for c0 in range(0, cols, _PANEL):
         if r == npiv:
             break
-        hits = np.nonzero(a[r:npiv, col])[0]
-        if hits.size == 0:
-            continue
-        piv = r + int(hits[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-            a[piv] = -a[piv] % p
-        factors = a[r + 1:, col] * pow(int(a[r, col]), p - 2, p) % p
-        a[r + 1:, col:] = (a[r + 1:, col:] - factors[:, None] * a[r, col:]) % p
-        pivots.append(col)
-        r += 1
+        c1 = min(c0 + _PANEL, cols)
+        r0, panel = r, []
+        for col in range(c0, c1):
+            if r == npiv:
+                break
+            hits = np.nonzero(a[r:npiv, col])[0]
+            if hits.size == 0:
+                continue
+            piv = r + int(hits[0])
+            if piv != r:
+                a[[r, piv]] = a[[piv, r]]
+                a[piv] = -a[piv] % p
+            factors = a[r + 1:, col] * pow(int(a[r, col]), p - 2, p) % p
+            a[r + 1:, col + 1:c1] = (a[r + 1:, col + 1:c1]
+                                     - factors[:, None] * a[r, col + 1:c1]) % p
+            a[r + 1:, col] = factors
+            panel.append(col)
+            r += 1
+        if panel and c1 < cols:
+            top = a[r0:r, c1:]
+            for i in range(len(panel) - 1):
+                top[i + 1:] -= a[r0 + i + 1:r, panel[i], None] * top[i]
+                top[i + 1:] %= p
+            _sub_product(a[r:, c1:], a[r:, panel], top, p)
+        pivots += panel
     return pivots
 
 

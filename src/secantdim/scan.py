@@ -144,6 +144,10 @@ def load_cache(path: str) -> dict[str, dict]:
 def run_scan(max_m: int, max_n: int, seed: int = 0, prime: int = PRIMARY_PRIME,
              trials: int = 3, jobs: int = 1,
              cache_path: str | None = None) -> list[dict]:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     cached = load_cache(cache_path) if cache_path else {}
     records: dict[tuple, dict] = {}
     groups = []

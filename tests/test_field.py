@@ -1,11 +1,14 @@
 """Prime-field arithmetic, rank, determinant, Pfaffian, seeded randomness."""
 
+import math
+
 import numpy as np
 import pytest
 
 from secantdim.field import (PRIMARY_PRIME, SECONDARY_PRIME, DenseMatrix,
-                             PrimeField, SeededRng, derive_seed, det, pfaffian,
-                             rank, reduce_rows, vstack)
+                             PrimeField, SeededRng, _eliminate, _sub_product,
+                             derive_seed, det, pfaffian, rank, reduce_rows,
+                             vstack)
 
 F = PrimeField(PRIMARY_PRIME)
 
@@ -182,7 +185,9 @@ def _top_matrices(rng, shape):
 def test_top_prime_kernels_match_python_ints():
     p = TOP.p
     rng = np.random.default_rng(31)
-    for shape in ((7, 7), (5, 9), (9, 4)):
+    # the wide shapes span two or three panels, so they reach the trailing
+    # float64 product at full panel depth
+    for shape in ((7, 7), (5, 9), (9, 4), (40, 70), (70, 40), (70, 70)):
         for arr in _top_matrices(rng, shape):
             rows = arr.tolist()
             assert rank(DenseMatrix(arr, TOP)) == len(_py_echelon(rows, p)[1])
@@ -196,18 +201,94 @@ def test_top_prime_kernels_match_python_ints():
 def test_top_prime_reduce_rows_matches_python_ints():
     p = TOP.p
     rng = np.random.default_rng(37)
-    for gens in _top_matrices(rng, (4, 10)):
-        for rows in _top_matrices(rng, (6, 10)):
-            dim_y, reduced = reduce_rows(DenseMatrix(gens, TOP),
-                                         DenseMatrix(rows, TOP))
-            basis, pivots = _py_echelon(gens.tolist(), p)
-            want = []
-            for row in rows.tolist():
-                for b, col in zip(basis, pivots):
-                    row = [(x - row[col] * y) % p for x, y in zip(row, b)]
-                want.append([x for c, x in enumerate(row) if c not in pivots])
-            assert dim_y == len(pivots)
-            assert reduced.array.tolist() == want
+    # the second case is tall and spans three panels
+    for gens_shape, rows_shape in (((4, 10), (6, 10)), ((30, 70), (60, 70))):
+        for gens in _top_matrices(rng, gens_shape):
+            for rows in _top_matrices(rng, rows_shape):
+                dim_y, reduced = reduce_rows(DenseMatrix(gens, TOP),
+                                             DenseMatrix(rows, TOP))
+                basis, pivots = _py_echelon(gens.tolist(), p)
+                want = []
+                for row in rows.tolist():
+                    for b, col in zip(basis, pivots):
+                        row = [(x - row[col] * y) % p for x, y in zip(row, b)]
+                    want.append([x for c, x in enumerate(row)
+                                 if c not in pivots])
+                assert dim_y == len(pivots)
+                assert reduced.array.tolist() == want
+
+
+def test_top_prime_product_depth_bound():
+    # all-(p-1) factors make every float64 partial sum as large as it gets:
+    # depth 45 is the deepest exact product at this prime, 46 is refused
+    p = TOP.p
+    for k in (1, 45):
+        c = np.zeros((3, 5), dtype=np.int64)
+        _sub_product(c, np.full((3, k), p - 1), np.full((k, 5), p - 1), p)
+        assert c.tolist() == [[-k * (p - 1) ** 2 % p] * 5] * 3
+    with pytest.raises(OverflowError):
+        _sub_product(np.zeros((3, 5), dtype=np.int64), np.full((3, 46), p - 1),
+                     np.full((46, 5), p - 1), p)
+
+
+# -- the blocked kernel against the unblocked one it replaced -----------------
+
+def _unblocked_eliminate(a, p, npiv):
+    """The reference: one pivot at a time, each updating every row below it
+    from its own column on, so every row below a pivot is zero there."""
+    r, pivots = 0, []
+    for col in range(a.shape[1]):
+        if r == npiv:
+            break
+        hits = np.nonzero(a[r:npiv, col])[0]
+        if hits.size == 0:
+            continue
+        piv = r + int(hits[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+            a[piv] = -a[piv] % p
+        factors = a[r + 1:, col] * pow(int(a[r, col]), p - 2, p) % p
+        a[r + 1:, col:] = (a[r + 1:, col:] - factors[:, None] * a[r, col:]) % p
+        pivots.append(col)
+        r += 1
+    return pivots
+
+
+def _property_matrices(rng, p, shape):
+    rows, cols = shape
+    yield "random", rng.integers(0, p, size=shape)
+    yield "rank-1", np.outer(rng.integers(0, p, size=rows),
+                             rng.integers(0, p, size=cols)) % p
+    yield "sparse", rng.integers(0, p, size=shape) * (rng.random(shape) < 0.1)
+    yield "all p-1", np.full(shape, p - 1, dtype=np.int64)
+    yield "near p-1", p - 1 - rng.integers(0, 3, size=shape)
+
+
+@pytest.mark.parametrize("p", [PRIMARY_PRIME, TOP.p])
+def test_blocked_kernel_matches_unblocked(p):
+    field = PrimeField(p)
+    rng = np.random.default_rng(p % 1000)
+    for panels in range(1, 6):
+        cols = 32 * panels - 5
+        for rows, npiv in ((cols + 9, cols - 3), (cols // 2 + 3, cols // 3 + 1),
+                           (cols, cols)):
+            for kind, arr in _property_matrices(rng, p, (rows, cols)):
+                want = arr.copy()
+                want_pivots = _unblocked_eliminate(want, p, npiv)
+                # reduce_rows: generators are the first npiv rows
+                dim_y, reduced = reduce_rows(DenseMatrix(arr[:npiv], field),
+                                             DenseMatrix(arr[npiv:], field))
+                free = [c for c in range(cols) if c not in want_pivots]
+                assert dim_y == len(want_pivots), (kind, rows, cols)
+                assert reduced.array.tolist() == want[npiv:, free].tolist()
+                got = arr.copy()
+                assert _eliminate(got, p, npiv) == want_pivots, (kind, rows)
+                for i, col in enumerate(want_pivots):  # the echelon rows
+                    assert got[i, col:].tolist() == want[i, col:].tolist()
+                if npiv == rows == cols:
+                    want_det = (math.prod(np.diagonal(want).tolist()) % p
+                                if len(want_pivots) == rows else 0)
+                    assert det(DenseMatrix(arr, field)) == want_det, kind
 
 
 def test_reduce_rows_measures_the_quotient():

@@ -85,6 +85,18 @@ def test_profile_rank_above_expected_raises(monkeypatch):
         run_scan(2, 2, seed=0, trials=1)
 
 
+@pytest.mark.parametrize("kwargs", [{"trials": 0}, {"trials": -1},
+                                    {"jobs": 0}, {"jobs": -4}])
+def test_run_scan_rejects_counts_below_one(tmp_path, monkeypatch, kwargs):
+    # rejected up front: no cell is measured and no cache file is written
+    monkeypatch.setattr(scan, "_scan_group", None)
+    cache = tmp_path / "cells.jsonl"
+    for grid in ((1, 1), (2, 2), (2, 3)):
+        with pytest.raises(ValueError, match="at least 1"):
+            run_scan(*grid, seed=0, cache_path=str(cache), **kwargs)
+    assert not cache.exists()
+
+
 def test_serialization_roundtrip():
     records = run_scan(2, 2, seed=0, trials=2)
     lines = records_to_jsonl(records).splitlines()
