@@ -1,6 +1,12 @@
 """Exact-arithmetic dimension computations for secant varieties of
 Segre-Veronese embeddings of P^m x P^n in bidegree (1, d)."""
 
+import os
+
+# The kernel's products are too small to gain from BLAS threads, and each
+# run_scan worker would start one per core.  Needs numpy not loaded yet.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .bounds import (Abundance, Statement, ambient_dim, expected_dim, q_bound,
                      r_bound, s_over, s_under, unbalanced_range)
 from .certificates import (Verdict, certify_Q, certify_R2n, certify_R_over,

@@ -8,9 +8,9 @@ dimension (all dimensions here are affine, for the cones).
 
 This module holds the closed-form side: ambient and expected dimensions, the
 sub/super/equiabundant trichotomy, the certified thresholds for d = 2, the
-unbalanced range, the conjectured defect list for d = 2, and the classical
-table of defective Veronese double-point systems with its minimal filling
-count, used for the m = 0 base cases.
+unbalanced range, the conjectured defect list for d = 2, and the exact rank
+of every m = 0 statement (the Alexander-Hirschowitz count), used for the
+prover's base cases.
 """
 
 from __future__ import annotations
@@ -158,30 +158,26 @@ def unbalanced_expected_dim(m: int, n: int, d: int, s: int) -> int:
 
 # Veronese double-point systems (n, d, s) that fail to impose independent
 # conditions, beyond the quadric rule: the classical quartic surface, quartic
-# threefold, quartic fourfold, and cubic fourfold cases.
+# threefold, quartic fourfold, and cubic fourfold cases.  In each, s(n+1)
+# equals C(n+d, d) and the s tangent spaces span a hyperplane.
 AH_EXCEPTIONS = frozenset({(2, 4, 5), (3, 4, 9), (4, 4, 14), (4, 3, 7)})
 
 
-def ah_veronese_true(n: int, d: int, s: int) -> bool:
-    """Whether s generic double points in P^n impose independent conditions
-    on degree-d forms, equivalently whether T(0, n; 1, d; s) is true.
+def m0_rank(n: int, d: int, s: int, t: int) -> int:
+    """Exact rank of S(0, n; 1, d; s; t): the span of s generic tangent
+    spaces and t generic points of the Veronese cone v_d(P^n).
 
-    The full answer for d >= 2: always, except s in [2, n] for d = 2 and the
-    four sporadic cases in AH_EXCEPTIONS.
+    The tangent spaces span s(n+1) - C(s, 2) for d = 2 and s <= n+1 (the
+    cone of symmetric matrices of rank <= s), a hyperplane in the four
+    AH_EXCEPTIONS, and min(s(n+1), C(n+d, d)) otherwise (Alexander-
+    Hirschowitz; d = 1 fills at once).  Each generic point adds one until
+    the space is full.
     """
-    if d < 2:
-        raise ValueError("double-point interpolation needs d >= 2")
-    if s < 0:
-        raise ValueError("negative point count")
-    if d == 2 and 2 <= s <= n:
-        return False
-    return (n, d, s) not in AH_EXCEPTIONS
-
-
-def min_filling_true(n: int, d: int) -> int:
-    """Smallest s with s(n+1) >= C(n+d, d) and T(0, n; 1, d; s) true."""
     c = math.comb(n + d, d)
-    s = -(-c // (n + 1))
-    while not ah_veronese_true(n, d, s):
-        s += 1
-    return s
+    if d == 2 and s <= n + 1:
+        span = s * (n + 1) - math.comb(s, 2)
+    elif (n, d, s) in AH_EXCEPTIONS:
+        span = c - 1
+    else:
+        span = min(s * (n + 1), c)
+    return min(span + t, c)

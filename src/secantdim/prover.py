@@ -3,11 +3,11 @@
 Proof rules, each a sound implication:
 
 * clamp_trivial        -- s = t = 0 spans the zero subspace.
-* base_AH              -- m = 0 leaves, decided by the classical
-                          double-point interpolation table (subabundant
-                          statements reduce to it; superabundant ones follow
-                          from a filling sub-statement plus monotonicity,
-                          and pure point sets are always independent).
+* base_AH              -- m = 0 leaves, decided exactly: the
+                          Alexander-Hirschowitz count of s generic tangent
+                          spaces of v_d(P^n), plus one for each of the t
+                          generic points until the space is full.  An m = 0
+                          statement never reaches a rank certificate.
 * split(m',m'',s',s'') -- the splitting rule: V = V' (+) V'' with
                           m = m' + m'' + 1, s = s' + s''; if
                           S(m', n; 1, d; s'; s''+t) and
@@ -54,9 +54,9 @@ import json
 import re
 from dataclasses import dataclass
 
-from .bounds import (Abundance, Statement, ambient_dim, ah_veronese_true,
-                     classify, is_subabundant, is_superabundant,
-                     min_filling_true, s_over, s_under)
+from .bounds import (Abundance, Statement, classify, expected_dim,
+                     is_subabundant, is_superabundant, m0_rank, s_over,
+                     s_under)
 from .certificates import (OUTCOME_TRUE, certify_R_over, certify_R_under,
                            eval_statement)
 from .field import PrimeField, derive_seed
@@ -138,20 +138,17 @@ def _side_ok(child: Statement, side: Abundance) -> bool:
     return is_subabundant(child) and is_superabundant(child)
 
 
-def _m0_truth(n: int, d: int, s: int, t: int) -> bool | None:
-    """Truth of S(0, n; 1, d; s; t) from the interpolation table.
+def _m0_truth(st: Statement) -> bool:
+    """Truth of an m = 0 statement S(0, n; 1, d; s; t): its exact rank
+    equals the expected one.
 
-    Returns True/False when the base facts decide it, None when they do not
-    (some superabundant configurations are true for reasons the table does
-    not see; those fall through to a rank certificate).
+    The s tangent spaces span the affine cone over the s-th secant variety of
+    v_d(P^n), whose dimension is the Alexander-Hirschowitz count of
+    bounds.m0_rank.  The Veronese variety is nondegenerate, so a generic
+    point lies off any proper subspace: t generic points raise that span by
+    one each until it fills the space.
     """
-    if s == 0:
-        return True
-    if s * (n + 1) + t <= ambient_dim(0, n, d):
-        return ah_veronese_true(n, d, s)
-    if s >= min_filling_true(n, d):
-        return True
-    return None
+    return m0_rank(st.n, st.d, st.s, st.t) == expected_dim(st)
 
 
 def _cert_seed(seed: int, *parts) -> int:
@@ -209,13 +206,10 @@ class Prover:
         return node
 
     def _m0_base(self, st: Statement) -> ProofNode | None:
-        truth = _m0_truth(st.n, st.d, st.s, st.t)
-        if truth is True:
+        if _m0_truth(st):
             return self._record(st, ProofNode(st, "base_AH"))
-        if truth is False:
-            self.store.put(st, StoreEntry(DEFICIENT_EVIDENCE))
-            return None
-        return self._rank_leaf(st)
+        self.store.put(st, StoreEntry(DEFICIENT_EVIDENCE))
+        return None
 
     def _monotone_from_store(self, st: Statement) -> ProofNode | None:
         for s, t, sub, sup, node in self.store.family(st):
@@ -345,8 +339,8 @@ def check_proof(node: ProofNode, seed: int = 0, trials: int = 3,
     if rule == "base_AH":
         if st.m != 0:
             fail("base_AH needs m = 0")
-        if _m0_truth(st.n, st.d, st.s, st.t) is not True:
-            fail("interpolation table does not support this leaf")
+        if not _m0_truth(st):
+            fail("the exact m = 0 count does not support this leaf")
         if node.children:
             fail("leaf rule with children")
         return

@@ -1,4 +1,4 @@
-"""Numeric thresholds, abundance classification, interpolation tables."""
+"""Numeric thresholds, abundance classification, the exact m = 0 count."""
 
 import json
 import math
@@ -7,11 +7,10 @@ import os
 import pytest
 
 from secantdim.bounds import (AH_EXCEPTIONS, Abundance, Statement,
-                              ah_veronese_true, ambient_dim, classify,
-                              conjecture_verdict, expected_dim,
-                              is_subabundant, is_superabundant,
-                              min_filling_true, q_bound, r_bound, s_over,
-                              s_under, span_count, unbalanced_expected_dim,
+                              ambient_dim, classify, conjecture_verdict,
+                              expected_dim, is_subabundant, is_superabundant,
+                              m0_rank, q_bound, r_bound, s_over, s_under,
+                              span_count, unbalanced_expected_dim,
                               unbalanced_range)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -101,42 +100,41 @@ def test_threshold_identities():
                 assert s_under(m, n) == q_bound(m, n), (m, n)
 
 
+def _double_points_independent(n, d, s):
+    """T(0, n; 1, d; s): s double points impose independent conditions."""
+    return m0_rank(n, d, s, 0) == expected_dim(Statement(0, n, d, s, 0))
+
+
 def test_ah_quadric_band():
     # d = 2: s double points fail for 2 <= s <= n, succeed elsewhere
-    assert ah_veronese_true(3, 2, 1)
-    assert not ah_veronese_true(3, 2, 2)
-    assert not ah_veronese_true(3, 2, 3)
-    assert ah_veronese_true(3, 2, 4)
-    assert ah_veronese_true(1, 2, 2)
+    assert _double_points_independent(3, 2, 1)
+    assert not _double_points_independent(3, 2, 2)
+    assert not _double_points_independent(3, 2, 3)
+    assert _double_points_independent(3, 2, 4)
+    assert _double_points_independent(1, 2, 2)
 
 
 def test_ah_sporadic_exceptions():
     assert AH_EXCEPTIONS == {(2, 4, 5), (3, 4, 9), (4, 4, 14), (4, 3, 7)}
     for n, d, s in AH_EXCEPTIONS:
-        assert not ah_veronese_true(n, d, s)
-        assert ah_veronese_true(n, d, s - 1)
-        assert ah_veronese_true(n, d, s + 1)
-    with pytest.raises(ValueError):
-        ah_veronese_true(2, 1, 1)
+        assert not _double_points_independent(n, d, s)
+        assert _double_points_independent(n, d, s - 1)
+        assert _double_points_independent(n, d, s + 1)
 
 
 def test_ah_table_against_measured_ranks():
-    """Re-derive the interpolation table from actual tangent ranks (m = 0)."""
+    """Re-derive the m = 0 count from actual tangent ranks, with up to three
+    V-slices and d = 1 included."""
     from secantdim.certificates import eval_statement
 
     for n in range(1, 5):
-        for d in (2, 3, 4):
+        for d in (1, 2, 3, 4):
             amb = math.comb(n + d, d)
-            for s in range(1, amb // (n + 1) + 2):
-                verdict = eval_statement(Statement(0, n, d, s, 0), seed=5)
-                assert (verdict.defect == 0) == ah_veronese_true(n, d, s), (n, d, s)
-
-
-def test_min_filling():
-    assert min_filling_true(2, 2) == 3  # ceil(6/3) = 2 is defective, 3 fills
-    assert min_filling_true(3, 2) == 4
-    assert min_filling_true(2, 4) == 6  # (2,4) filling exception bumps 5 to 6
-    assert min_filling_true(4, 3) == 8  # (4,3) exception bumps 7 to 8
+            for s in range(0, amb // (n + 1) + 2):
+                for t in range(4):
+                    st = Statement(0, n, d, s, t)
+                    verdict = eval_statement(st, seed=5)
+                    assert verdict.rank == m0_rank(n, d, s, t), st.key
 
 
 def test_unbalanced_range():

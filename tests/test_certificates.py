@@ -9,10 +9,11 @@ import pytest
 
 from secantdim import certificates
 from secantdim.bounds import Statement, ambient_dim, expected_dim, s_over, s_under
-from secantdim.certificates import (Verdict, certify_Q, certify_R2n,
-                                    certify_R_over, certify_R_under,
-                                    eval_statement, eval_statement_checked,
-                                    r_under_expected, witness_Rmm)
+from secantdim.certificates import (OUTCOME_DEFICIENT, Verdict, certify_Q,
+                                    certify_R2n, certify_R_over,
+                                    certify_R_under, eval_statement,
+                                    eval_statement_checked, r_under_expected,
+                                    witness_Rmm)
 from secantdim.field import (PRIMARY_PRIME, SECONDARY_PRIME, DenseMatrix,
                              PrimeField, SeededRng, derive_seed, rank, vstack)
 
@@ -91,6 +92,44 @@ def test_cross_prime_check():
     assert v.rank == 29 and v.outcome == "deficient"
     w = eval_statement_checked(Statement(2, 3, 2, 4, 0))
     assert w.outcome == "true"
+
+
+def _fake_oracle(monkeypatch, rank_of):
+    """Replace eval_statement by a deficient verdict of rank rank_of(seed, p);
+    returns the list of (seed, p, verdict) calls."""
+    calls = []
+
+    def fake(st, seed, trials, field):
+        v = Verdict(rank_of(seed, field.p), expected_dim(st), trials,
+                    OUTCOME_DEFICIENT)
+        calls.append((seed, field.p, v))
+        return v
+
+    monkeypatch.setattr(certificates, "eval_statement", fake)
+    return calls
+
+
+def test_cross_prime_disagreement_that_persists_raises(monkeypatch):
+    calls = _fake_oracle(monkeypatch,
+                         lambda seed, p: 29 if p == PRIMARY_PRIME else 28)
+    with pytest.raises(ArithmeticError, match="persists"):
+        eval_statement_checked(Statement(2, 3, 2, 5, 0), seed=7)
+    reseeds = [derive_seed(7, "reseed", k)
+               for k in range(1, certificates._MAX_RESEEDS + 1)]
+    assert [c[:2] for c in calls] == [
+        (s, p) for s in [7] + reseeds for p in (PRIMARY_PRIME, SECONDARY_PRIME)]
+
+
+def test_cross_prime_disagreement_cleared_by_a_reseed(monkeypatch):
+    calls = _fake_oracle(
+        monkeypatch,
+        lambda seed, p: 28 if (seed, p) == (7, SECONDARY_PRIME) else 29)
+    v = eval_statement_checked(Statement(2, 3, 2, 5, 0), seed=7)
+    assert [c[:2] for c in calls] == [
+        (7, PRIMARY_PRIME), (7, SECONDARY_PRIME),
+        (derive_seed(7, "reseed", 1), PRIMARY_PRIME),
+        (derive_seed(7, "reseed", 1), SECONDARY_PRIME)]
+    assert v is calls[2][2] and v.rank == 29
 
 
 # -- independent Terracini oracle -------------------------------------------

@@ -5,7 +5,9 @@ import os
 
 import pytest
 
+from secantdim.bounds import Statement
 from secantdim.cli import main
+from secantdim.prover import ProofNode, check_proof
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -70,6 +72,19 @@ def test_prove_tree_and_unknown(capsys):
     assert json.loads(out)["outcome"] == "unknown"
 
 
+def test_prove_degree_one(capsys):
+    # the m = 0 leaves of a d = 1 statement are decided by the exact count
+    code, out, _ = run(capsys, "prove", "--m", "1", "--n", "2", "--d", "1",
+                       "--s", "1")
+    assert code == 0
+
+    def to_node(d):
+        return ProofNode(Statement(**d["statement"]), d["rule"],
+                         tuple(to_node(c) for c in d["children"]))
+
+    check_proof(to_node(json.loads(out)), seed=0)
+
+
 def test_strassen_decomposable_and_generic(capsys):
     code, out, _ = run(capsys, "strassen", "--k", "2", "--s", "8")
     assert code == 0
@@ -120,6 +135,18 @@ def test_scan_jobs_matches_serial(capsys):
 ])
 def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
     assert run(capsys, *argv)[0] == 64
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("strassen", "--k", "0"), 64, "--k must be >= 1"),
+    (("dim", "--m", "1", "--n", "1", "--s", "1", "--trials", "x"), 64,
+     "invalid int value"),
+    (("certify", "Q", "--m", "1", "--n", "3", "--prime", "5"), 1,
+     "secantdim: error:"),
+])
+def test_bad_values_exit_with_a_message(capsys, argv, code, message):
+    got, _, err = run(capsys, *argv)
+    assert got == code and message in err
 
 
 def test_scan_csv_format(capsys):

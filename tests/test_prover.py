@@ -60,6 +60,21 @@ def test_prove_trivial_and_base():
     assert node.rule == "base_AH" and not node.children
 
 
+def test_m0_superabundant_exception_is_base_ah(monkeypatch):
+    # the cubic fourfold exception spans a hyperplane; one V-slice fills it,
+    # and the exact m = 0 count says so without a rank certificate
+    def no_rank(*args, **kwargs):
+        raise AssertionError("m = 0 reached a rank certificate")
+
+    monkeypatch.setattr(prover_module, "eval_statement", no_rank)
+    prover = Prover(seed=0)
+    node = prover.prove(Statement(0, 4, 3, 7, 1))
+    assert node.rule == "base_AH" and not node.children
+    check_proof(node, seed=0)
+    assert prover.prove(Statement(0, 4, 3, 7, 0)) is None
+    assert prover.store.get(Statement(0, 4, 3, 7, 0)).status == DEFICIENT_EVIDENCE
+
+
 def test_check_proof_accepts_golden():
     for name in ("proof_2_2_3.json", "proof_family_k1.json",
                  "proof_family_k2.json", "proof_family_k3.json"):
@@ -282,7 +297,7 @@ def test_proved_statements_are_actually_true():
 # The md5 of every proof tree of the prover sweep (m <= 8, n <= 8, s in
 # s_values, in grid order, one prover and store).  A change that alters
 # proof trees on purpose updates the constant and says so in CHANGES.md.
-SWEEP_PROOFS_MD5 = "5426bca8238a465c16568446651f299b"
+SWEEP_PROOFS_MD5 = "70d305c3ade8a0a38d00411f80baa46b"
 
 
 def test_sweep_proof_trees_are_pinned():

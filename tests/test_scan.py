@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -163,3 +165,28 @@ def test_defective_triples_and_summary():
     assert "43 statements" in text
     assert "(2,3,5)" in text and "defective:b" in text
     assert "conjecture diff: none" in text
+
+
+def test_summary_notes_corrected_dim_and_conjecture_diff():
+    records = run_scan(5, 2, seed=0, trials=3)
+    text = scan_summary(records)
+    assert ("defective (5,2,5): rank 35 < expected 36 [defective:a]; "
+            "unbalanced corrected dim 35") in text.splitlines()
+    assert text.endswith("conjecture diff: none")
+
+    records[0] = dict(records[0], agree=False)
+    first = (records[0]["m"], records[0]["n"], records[0]["s"])
+    assert scan_summary(records).endswith(f"conjecture diff: {[first]}")
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+def test_import_caps_blas_threads_unless_set(preset, want):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import os, secantdim; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == want
