@@ -9,11 +9,11 @@ over F_p.  Rank is lower semicontinuous, so measuring the expected dimension
 at one specialization proves the statement; a shortfall is only evidence of
 deficiency and gets cross-checked over a second prime before it is reported.
 
-The full stack is never eliminated.  Every block but the rows
-u (x) v^(d-1) f_j of a tangent space spans V (x) Y' for a Y' in S_d(W), so
-with Y the sum of the Y', rank = (m+1) dim Y + rank(rest mod V (x) Y).  This
-is an identity for the specialized matrix: the rank is that of the full
-stack, and a `true` verdict is still a proof.
+The full stack is never eliminated.  Every block but the rows u (x) w,
+w = v^(d-1) f_j, spans V (x) Y' for Y' its m = 0 (Veronese) block.  With
+Y = sum Y', rank = (m+1) dim Y + rank(u (x) (w mod Y)): reduction is linear,
+so the s(n+1) vectors w are reduced in S_d(W) once and V is tensored on last.
+This is an identity for the specialized matrix; a `true` verdict is a proof.
 
 Four specialized configurations degenerate some points onto the two
 codimension-2 windows of W and adjoin the full coordinate blocks
@@ -100,25 +100,25 @@ def statement_config(st: Statement) -> Configuration:
 def _span_rank(m: int, n: int, d: int, field: PrimeField,
                windows: tuple[PointConstraint, ...], points: list[Point],
                ys: list[Point]) -> int:
-    """Rank of the coordinate blocks on the windows, the tangent spaces at
-    points and the V-slices at ys, stacked.  All rows of a window or slice
-    block and a tangent's first m+1 are e_i (x) y, i = 0..m, for y spanning
-    Y; a tangent's other rows are q.  rank = (m+1) dim Y + rank(q mod V (x) Y),
-    where V (x) Y = sum_i e_i (x) Y lets each S_d(W)-slice of q be reduced
-    alone."""
+    """Rank of the window blocks, the tangent spaces at points and the
+    V-slices at ys, stacked.  Each block but the rows u (x) v^(d-1) f_j is
+    V (x) Y' for Y' its m = 0 (Veronese) block; with Y the sum of the Y' and
+    w_j = v^(d-1) f_j mod Y in S_d(W), rank = (m+1) dim Y + rank(u (x) w_j)."""
     nmon = ambient_dim(0, n, d)  # dim S_d(W)
-    spans = [subspace_rows(w.window(n), m, n, d, field) for w in windows]
-    tangents = [tangent_rows(pt, m, n, d, field) for pt in points]
-    slices = [y_rows(y, m, n, d, field) for y in ys]
-    if any(mat.cols != (m + 1) * nmon for mat in spans + tangents + slices):
+    spans = [subspace_rows(w.window(n), 0, n, d, field) for w in windows]
+    tangents = [tangent_rows(Point((1,), pt.v), 0, n, d, field) for pt in points]
+    slices = [y_rows(Point((1,), y.v), 0, n, d, field) for y in ys]
+    if any(mat.cols != nmon for mat in spans + tangents + slices):
         raise ValueError("configuration blocks disagree on columns")
-    gens = [mat.array[:mat.rows // (m + 1), :nmon] for mat in spans]
-    gens += [mat.array[:1, :nmon] for mat in tangents + slices]
-    q = np.vstack([np.empty((0, (m + 1) * nmon), dtype=np.int64)]  # no points
-                  + [mat.array[m + 1:] for mat in tangents])
+    tan = np.array([mat.array for mat in tangents], dtype=np.int64)
+    tan = tan.reshape(len(points), n + 2, nmon)  # explicit: points may be empty
+    gens = [mat.array for mat in spans] + [tan[:, 0]] + [mat.array for mat in slices]
     dim_y, rest = reduce_rows(DenseMatrix(np.vstack(gens), field),
-                              DenseMatrix(q.reshape(-1, nmon), field))
-    rows = rest.array.reshape(len(q), (m + 1) * rest.cols)
+                              DenseMatrix(tan[:, 1:].reshape(-1, nmon), field))
+    # u reduced mod p, so every product stays below p^2 < 2^63
+    u = np.array([pt.u for pt in points], dtype=np.int64).reshape(-1, m + 1) % field.p
+    rows = u[:, None, :, None] * rest.array.reshape(len(points), n + 1, 1, rest.cols)
+    rows = rows.reshape(rest.rows, (m + 1) * rest.cols)
     return (m + 1) * dim_y + rank(DenseMatrix(rows, field))
 
 

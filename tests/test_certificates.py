@@ -18,6 +18,8 @@ from secantdim.field import (PRIMARY_PRIME, SECONDARY_PRIME, DenseMatrix,
                              PrimeField, SeededRng, derive_seed, rank, vstack)
 
 F = PrimeField(PRIMARY_PRIME)
+# The top supported modulus, as in test_field.py.
+TOP = PrimeField(3_037_000_493)
 
 
 def test_verdict_shape():
@@ -304,22 +306,44 @@ def _full_stack(m, n, d, field, windows, points, ys):
 
 
 def test_quotient_rank_equals_full_stack_rank(monkeypatch):
-    for config, label in _equivalence_cases():
-        for trial in range(3):
-            rng = SeededRng(derive_seed(0, *label, trial), F)
-            args = (config.m, config.n, config.d, F, config.windows,
-                    *config.draw(rng))
-            got = certificates._span_rank(*args)
-            assert got == rank(_full_stack(*args)), (label, trial)
+    # At TOP a product u (x) w_j of two residues is within 2^61 of 2^63, so
+    # an unreduced factor or a sum of two products overflows int64.
+    for field in (F, TOP):
+        for config, label in _equivalence_cases():
+            for trial in range(3):
+                rng = SeededRng(derive_seed(0, *label, trial), field)
+                args = (config.m, config.n, config.d, field, config.windows,
+                        *config.draw(rng))
+                got = certificates._span_rank(*args)
+                assert got == rank(_full_stack(*args)), (field.p, label, trial)
     # the explicit witness points, as witness_Rmm passes them
     calls = []
     span_rank = certificates._span_rank
     monkeypatch.setattr(certificates, "_span_rank",
                         lambda *args: calls.append(args) or span_rank(*args))
-    for m in (2, 3, 4, 5):
-        assert witness_Rmm(m, F) is True
-        args = calls.pop()
-        assert rank(_full_stack(*args)) == ambient_dim(m, m, 2), m
+    for field in (F, TOP):
+        for m in (2, 3, 4, 5):
+            assert witness_Rmm(m, field) is True
+            args = calls.pop()
+            assert rank(_full_stack(*args)) == ambient_dim(m, m, 2), (field.p, m)
+
+
+def test_reduction_runs_on_the_w_parts_only(monkeypatch):
+    """Y is reduced against the s(n+1) rows v^(d-1) f_j of S_d(W), once,
+    not against their (m+1) V-slices each."""
+    shapes = []
+    reduce_rows = certificates.reduce_rows
+
+    def record(gens, rows):
+        shapes.append((rows.rows, rows.cols))
+        return reduce_rows(gens, rows)
+
+    monkeypatch.setattr(certificates, "reduce_rows", record)
+    for run, s, n in ((lambda: certify_R_over(4, 4), s_over(4, 4), 4),
+                      (lambda: eval_statement(Statement(3, 3, 2, 4, 1)), 4, 3)):
+        shapes.clear()
+        trials = run().trials
+        assert shapes == [(s * (n + 1), math.comb(n + 2, 2))] * trials, (s, n)
 
 
 # md5 of the full stacked rows of every _equivalence_cases configuration at
