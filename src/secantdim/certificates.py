@@ -13,7 +13,10 @@ The full stack is never eliminated.  Every block but the rows u (x) w,
 w = v^(d-1) f_j, spans V (x) Y' for Y' its m = 0 (Veronese) block.  With
 Y = sum Y', rank = (m+1) dim Y + rank(u (x) (w mod Y)): reduction is linear,
 so the s(n+1) vectors w are reduced in S_d(W) once and V is tensored on last.
-This is an identity for the specialized matrix; a `true` verdict is a proof.
+A window block S_d(U) is spanned by monomials, so it is not stacked at all:
+its columns are deleted from the other blocks and counted into dim Y, and
+the w that reduce to zero are left out of the final rank.  Each step is an
+identity for the specialized matrix; a `true` verdict is a proof.
 
 Four specialized configurations degenerate some points onto the two
 codimension-2 windows of W and adjoin the full coordinate blocks
@@ -103,22 +106,34 @@ def _span_rank(m: int, n: int, d: int, field: PrimeField,
     """Rank of the window blocks, the tangent spaces at points and the
     V-slices at ys, stacked.  Each block but the rows u (x) v^(d-1) f_j is
     V (x) Y' for Y' its m = 0 (Veronese) block; with Y the sum of the Y' and
-    w_j = v^(d-1) f_j mod Y in S_d(W), rank = (m+1) dim Y + rank(u (x) w_j)."""
+    w_j = v^(d-1) f_j mod Y in S_d(W), rank = (m+1) dim Y + rank(u (x) w_j).
+
+    A window block S_d(U) is spanned by monomials, so Y is those monomials
+    plus the rest of Y with their columns deleted: the window columns are
+    pivots of Y, and the representative of w_j vanishing on Y's pivots is the
+    same.  The w_j that reduce to zero add no rank and are left out."""
     nmon = ambient_dim(0, n, d)  # dim S_d(W)
     spans = [subspace_rows(w.window(n), 0, n, d, field) for w in windows]
     tangents = [tangent_rows(Point((1,), pt.v), 0, n, d, field) for pt in points]
     slices = [y_rows(Point((1,), y.v), 0, n, d, field) for y in ys]
     if any(mat.cols != nmon for mat in spans + tangents + slices):
         raise ValueError("configuration blocks disagree on columns")
+    on_window = np.zeros(nmon, dtype=bool)
+    for mat in spans:
+        on_window |= mat.array.any(axis=0)
+    keep = ~on_window
     tan = np.array([mat.array for mat in tangents], dtype=np.int64)
-    tan = tan.reshape(len(points), n + 2, nmon)  # explicit: points may be empty
-    gens = [mat.array for mat in spans] + [tan[:, 0]] + [mat.array for mat in slices]
+    tan = tan.reshape(len(points), n + 2, nmon)[:, :, keep]  # points may be empty
+    gens = [tan[:, 0]] + [mat.array[:, keep] for mat in slices]
     dim_y, rest = reduce_rows(DenseMatrix(np.vstack(gens), field),
-                              DenseMatrix(tan[:, 1:].reshape(-1, nmon), field))
+                              DenseMatrix(tan[:, 1:].reshape(-1, tan.shape[2]), field))
+    dim_y += int(on_window.sum())
+    live = rest.array.any(axis=1)
     # u reduced mod p, so every product stays below p^2 < 2^63
     u = np.array([pt.u for pt in points], dtype=np.int64).reshape(-1, m + 1) % field.p
-    rows = u[:, None, :, None] * rest.array.reshape(len(points), n + 1, 1, rest.cols)
-    rows = rows.reshape(rest.rows, (m + 1) * rest.cols)
+    u = np.repeat(u, n + 1, axis=0)[live]
+    rows = u[:, :, None] * rest.array[live][:, None, :]
+    rows = rows.reshape(len(u), (m + 1) * rest.cols)
     return (m + 1) * dim_y + rank(DenseMatrix(rows, field))
 
 

@@ -9,17 +9,25 @@ second prime.
 
 Entries are canonical residues in [0, p) held in int64 arrays.  Rank,
 determinant and reduction modulo a row space share one blocked elimination,
-exact under two bounds:
+exact under three bounds:
 
-* int64 steps (a panel's row operations, bringing its pivot rows up to
-  date): the modulus is capped so that a product of two residues, plus one
-  more residue, still fits in a signed 64-bit word;
-* the float64 trailing update of a panel with k pivots: two GEMMs on the
-  16-bit limbs of one factor, whose partial sums stay exact integers while
+* int64 row operations within a panel: the modulus is capped so that a
+  product of two residues, plus one more residue, still fits in a signed
+  64-bit word;
+* the float64 products of a panel with k pivots (bringing its pivot rows up
+  to date, and the trailing update): two GEMMs on the 16-bit limbs of one
+  factor, whose partial sums stay exact integers while
   k (p-1)(2^16-1) < 2^53.  That allows k <= 45 at the top modulus and
   k <= 64 at 2^31 - 1, so panels are 32 columns wide.  The product checks
   the bound and raises past it: a rounded update could read a rank too
-  high, and a rank that reaches the expected value counts as a proof.
+  high, and a rank that reaches the expected value counts as a proof;
+* the int64 sum of the two limb products: the high one is reduced and
+  shifted (below 2^48) and the low one is taken raw (below 2^53), so a
+  residue minus both stays far inside a signed 64-bit word and one
+  reduction per block suffices.
+
+``rank`` eliminates a tall matrix as its transpose, so the elimination
+pivots on the short side.
 """
 
 from __future__ import annotations
@@ -131,27 +139,30 @@ def _sub_product(c: np.ndarray, l: np.ndarray, u: np.ndarray, p: int) -> None:
     l u runs as two float64 GEMMs, one per 16-bit limb of u.  Each entry of
     such a product is a sum of k terms below (p-1)(2^16-1), so every partial
     sum is an exact float64 integer while k (p-1)(2^16-1) < 2^53; past that
-    bound this raises instead of rounding.  The rows of c go in blocks of
+    bound this raises instead of rounding.  The high-limb product is reduced
+    and shifted (below 2^48), the low-limb one is subtracted raw (below 2^53),
+    and the block is reduced once.  The rows of c go in blocks of
     _BLOCK_ROWS, so the float and int scratch stays that small."""
     k = l.shape[1]
     if k * (p - 1) * (2**_LIMB_BITS - 1) >= 2**53:
         raise OverflowError(f"a product of depth {k} mod {p} is not exact "
                             f"in float64")
-    mask = 2**_LIMB_BITS - 1
-    limbs = [(shift, ((u >> shift) & mask).astype(np.float64))
-             for shift in (_LIMB_BITS, 0)]
+    high = (u >> _LIMB_BITS).astype(np.float64)
+    low = (u & (2**_LIMB_BITS - 1)).astype(np.float64)
     fbuf = np.empty((min(_BLOCK_ROWS, len(c)), c.shape[1]))
     ibuf = np.empty(fbuf.shape, dtype=np.int64)
     for lo in range(0, len(c), _BLOCK_ROWS):
         block = c[lo:lo + _BLOCK_ROWS]
         lf = l[lo:lo + _BLOCK_ROWS].astype(np.float64)
         fprod, iprod = fbuf[:len(block)], ibuf[:len(block)]
-        for shift, limb in limbs:
-            np.matmul(lf, limb, out=fprod)
-            np.copyto(iprod, fprod, casting="unsafe")
-            iprod %= p
-            iprod <<= shift
-            block -= iprod
+        np.matmul(lf, high, out=fprod)
+        np.copyto(iprod, fprod, casting="unsafe")
+        iprod %= p
+        iprod <<= _LIMB_BITS
+        block -= iprod
+        np.matmul(lf, low, out=fprod)
+        np.copyto(iprod, fprod, casting="unsafe")
+        block -= iprod
         block %= p
 
 
@@ -165,9 +176,11 @@ def _eliminate(a: np.ndarray, p: int, npiv: int) -> list[int]:
 
     The columns go in panels of _PANEL.  Within a panel each pivot updates
     the rows below it on the panel's columns only and leaves its multipliers
-    in its own column.  Then the panel's k pivot rows are brought up to date
-    on the columns right of the panel, and the rows below them get the
-    trailing update A22 -= L21 U12 as one exact product (_sub_product)."""
+    in its own column: the k pivots leave A11 = L11 U11 with L11 unit lower
+    triangular.  Then the panel's pivot rows are brought up to date on the
+    columns right of the panel, U12 = L11^-1 A12, and the rows below them
+    get the trailing update A22 -= L21 U12; both are one exact product
+    (_sub_product)."""
     cols = a.shape[1]
     r, pivots = 0, []
     for c0 in range(0, cols, _PANEL):
@@ -178,31 +191,40 @@ def _eliminate(a: np.ndarray, p: int, npiv: int) -> list[int]:
         for col in range(c0, c1):
             if r == npiv:
                 break
-            hits = np.nonzero(a[r:npiv, col])[0]
-            if hits.size == 0:
-                continue
-            piv = r + int(hits[0])
-            if piv != r:
+            if a[r, col] == 0:
+                hits = np.nonzero(a[r + 1:npiv, col])[0]
+                if hits.size == 0:
+                    continue
+                piv = r + 1 + int(hits[0])
                 a[[r, piv]] = a[[piv, r]]
                 a[piv] = -a[piv] % p
-            factors = a[r + 1:, col] * pow(int(a[r, col]), p - 2, p) % p
-            a[r + 1:, col + 1:c1] = (a[r + 1:, col + 1:c1]
-                                     - factors[:, None] * a[r, col + 1:c1]) % p
+            factors = a[r + 1:, col] * pow(int(a[r, col]), -1, p) % p
+            below = a[r + 1:, col + 1:c1]
+            below -= factors[:, None] * a[r, col + 1:c1]
+            below %= p
             a[r + 1:, col] = factors
             panel.append(col)
             r += 1
-        if panel and c1 < cols:
+        k = len(panel)
+        if k and c1 < cols:
+            # L11^-1 from the multipliers; U12 = A12 - (I - L11^-1) A12
+            linv = np.eye(k, dtype=np.int64)
+            for i in range(k - 1):
+                linv[i + 1:] -= a[r0 + i + 1:r, panel[i], None] * linv[i]
+                linv[i + 1:] %= p
             top = a[r0:r, c1:]
-            for i in range(len(panel) - 1):
-                top[i + 1:] -= a[r0 + i + 1:r, panel[i], None] * top[i]
-                top[i + 1:] %= p
+            _sub_product(top, (np.eye(k, dtype=np.int64) - linv) % p, top.copy(), p)
             _sub_product(a[r:, c1:], a[r:, panel], top, p)
         pivots += panel
     return pivots
 
 
 def rank(m: DenseMatrix) -> int:
-    return len(_eliminate(m.array % m.field.p, m.field.p, m.rows))
+    """Rank, from eliminating the matrix or, when it is tall, its transpose:
+    the elimination then pivots on the short side."""
+    a = np.array(m.array.T if m.rows > m.cols else m.array, order="C")
+    a %= m.field.p
+    return len(_eliminate(a, m.field.p, len(a)))
 
 
 def reduce_rows(gens: DenseMatrix, rows: DenseMatrix) -> tuple[int, DenseMatrix]:
@@ -258,11 +280,13 @@ def pfaffian(m: DenseMatrix) -> int:
         alpha = int(a[k, k + 1])
         result = result * alpha % p
         if k + 2 < n:
-            inv = pow(alpha, p - 2, p)
-            g = a[k + 2:, k] * inv % p
+            g = a[k + 2:, k] * pow(alpha, -1, p) % p
             r = a[k + 1, k + 2:]
-            update = (np.outer(g, r) % p - np.outer(r, g) % p)
-            a[k + 2:, k + 2:] = (a[k + 2:, k + 2:] + update) % p
+            # a difference of two products of residues, plus a residue:
+            # below (p-1)^2 + p < 2^63
+            blk = a[k + 2:, k + 2:]
+            blk += np.multiply.outer(g, r) - np.multiply.outer(r, g)
+            blk %= p
     return result % p
 
 

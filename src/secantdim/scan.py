@@ -34,7 +34,6 @@ import json
 import sys
 import time
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 
 import numpy as np
@@ -167,6 +166,7 @@ def run_scan(max_m: int, max_n: int, seed: int = 0, prime: int = PRIMARY_PRIME,
     with ExitStack() as stack:
         fresh = map(_scan_group, groups)
         if jobs > 1 and len(groups) > 1:
+            from concurrent.futures import ProcessPoolExecutor  # ~20 ms, so only here
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
             fresh = pool.map(_scan_group, groups)
         out = None

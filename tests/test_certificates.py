@@ -9,8 +9,8 @@ import pytest
 
 from secantdim import certificates
 from secantdim.bounds import Statement, ambient_dim, expected_dim, s_over, s_under
-from secantdim.certificates import (OUTCOME_DEFICIENT, Verdict, certify_Q,
-                                    certify_R2n, certify_R_over,
+from secantdim.certificates import (OUTCOME_DEFICIENT, OUTCOME_TRUE, Verdict,
+                                    certify_Q, certify_R2n, certify_R_over,
                                     certify_R_under, eval_statement,
                                     eval_statement_checked, r_under_expected,
                                     witness_Rmm)
@@ -330,7 +330,8 @@ def test_quotient_rank_equals_full_stack_rank(monkeypatch):
 
 def test_reduction_runs_on_the_w_parts_only(monkeypatch):
     """Y is reduced against the s(n+1) rows v^(d-1) f_j of S_d(W), once,
-    not against their (m+1) V-slices each."""
+    not against their (m+1) V-slices each, and on the columns off the
+    window blocks only."""
     shapes = []
     reduce_rows = certificates.reduce_rows
 
@@ -339,11 +340,33 @@ def test_reduction_runs_on_the_w_parts_only(monkeypatch):
         return reduce_rows(gens, rows)
 
     monkeypatch.setattr(certificates, "reduce_rows", record)
-    for run, s, n in ((lambda: certify_R_over(4, 4), s_over(4, 4), 4),
-                      (lambda: eval_statement(Statement(3, 3, 2, 4, 1)), 4, 3)):
+    # R_over(4, 4) deletes the S_2 monomials of its 3-variable window
+    for run, s, n, cols in (
+            (lambda: certify_R_over(4, 4), s_over(4, 4), 4,
+             math.comb(6, 2) - math.comb(4, 2)),
+            (lambda: eval_statement(Statement(3, 3, 2, 4, 1)), 4, 3,
+             math.comb(5, 2))):
         shapes.clear()
         trials = run().trials
-        assert shapes == [(s * (n + 1), math.comb(n + 2, 2))] * trials, (s, n)
+        assert shapes == [(s * (n + 1), cols)] * trials, (s, n)
+
+
+def test_rank_runs_on_the_nonzero_rows_only(monkeypatch):
+    """An on-window point's rows v f_j, j in the window, reduce to zero and
+    never reach rank."""
+    shapes = []
+    rank_ = certificates.rank
+
+    def record(mat):
+        shapes.append((mat.rows, mat.cols))
+        return rank_(mat)
+
+    monkeypatch.setattr(certificates, "rank", record)
+    for run, shape in ((lambda: certify_R_over(9, 9), (166, 90)),
+                       (lambda: certify_Q(9, 9), (40, 40))):
+        shapes.clear()
+        assert run().outcome == OUTCOME_TRUE
+        assert shapes == [shape]
 
 
 # md5 of the full stacked rows of every _equivalence_cases configuration at

@@ -291,6 +291,20 @@ def test_blocked_kernel_matches_unblocked(p):
                     assert det(DenseMatrix(arr, field)) == want_det, kind
 
 
+@pytest.mark.parametrize("p", [PRIMARY_PRIME, TOP.p])
+def test_rank_of_tall_matrices_matches_unblocked(p):
+    # rank eliminates the transpose of a tall matrix
+    field = PrimeField(p)
+    rng = np.random.default_rng(p % 997)
+    for rows, cols in ((9, 4), (70, 33), (430, 90)):
+        low = (rng.integers(0, 4, size=(rows, cols // 2))
+               @ rng.integers(0, p, size=(cols // 2, cols))) % p
+        for kind, arr in [*_property_matrices(rng, p, (rows, cols)),
+                          ("low rank", low)]:
+            want = len(_unblocked_eliminate(arr.copy(), p, rows))
+            assert rank(DenseMatrix(arr, field)) == want, (kind, rows, cols)
+
+
 def test_reduce_rows_measures_the_quotient():
     rng = SeededRng(derive_seed(8, "reduce"), F)
     gens = DenseMatrix(rng.elements((3, 7)), F)

@@ -15,7 +15,7 @@ from secantdim.certificates import OUTCOME_DEFICIENT, Verdict, eval_statement
 from secantdim.prover import (DEFICIENT_EVIDENCE, PROVED, ProofCheckError,
                               ProofNode, Prover, StatementStore, StoreEntry,
                               check_proof, proof_to_dict, proof_to_json)
-from secantdim.scan import s_values
+from secantdim.scan import run_scan, s_values
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -292,6 +292,18 @@ def test_proved_statements_are_actually_true():
                     assert v.defect == 0, st
                     if t == 0:
                         assert (m, n, s) not in known_false, st
+
+
+def test_scan_and_prover_agree_cell_by_cell():
+    """The scan measures a cell short exactly where the prover finds no
+    proof, over the whole 5x5 grid."""
+    prover = Prover(seed=0)
+    records = run_scan(5, 5, seed=0)
+    short = [rec for rec in records if rec["defect"] > 0]
+    assert (len(records), len(short)) == (174, 4)
+    for rec in records:
+        node = prover.prove(Statement(rec["m"], rec["n"], 2, rec["s"], 0))
+        assert (node is None) == (rec in short), rec
 
 
 # The md5 of every proof tree of the prover sweep (m <= 8, n <= 8, s in
