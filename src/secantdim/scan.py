@@ -1,24 +1,24 @@
 """Grid scan for defective secant varieties in bidegree (1, 2).
 
 For every cell (m, n) of the requested grid and every s from 1 up to one
-past the filling bound ceil(N / (m+n+1)), the scan measures the rank of the
+past the filling bound ceil(N / (m+n+1)), the scan gives the rank of the
 generic tangent configuration, compares it with the expected dimension, and
 classifies the cell against the conjectured defect list.
 
-One elimination per (m, n) decides every cell that reaches its expected
-dimension.  The stack of tangent spaces at s points is a row prefix of the
-stack at s + 1 points, so the pivot columns of the transposed stack for the
-largest s (its column rank profile) give the rank at every s.  The points
-are drawn from the seed derive_seed(seed, "profile", m, n).  A cell whose
-rank reaches the expected dimension is proved by that specialization.  A
-cell that falls short is measured again on its own with
-eval_statement_checked, with the cell's seed and up to `trials` draws, and a
-deficient result is cross-checked over a second prime before it is
-reported.  With jobs > 1 the (m, n) groups run in a process pool.
+Each (m, n) group is settled by abundance monotonicity.  Generic tangent
+spaces that are independent at s points stay independent at fewer points,
+and tangent spaces that fill the ambient space at s points still fill it at
+more.  So a `true` verdict at a subabundant s proves every smaller s, and a
+`true` verdict at a superabundant s proves every larger s.  The scan measures
+cells with eval_statement_checked (the cell's seed, up to `trials` draws, and
+a deficient result cross-checked over a second prime) outward from the
+filling point, down from floor(N / (m+n+1)) and up from ceil(N / (m+n+1)),
+until each walk reaches a `true` cell.  Every cell beyond those two gets
+rank = expected by monotonicity, and every measured cell keeps its own
+record.  With jobs > 1 the (m, n) groups run in a process pool.
 
-A record's `ms` is its equal share of the (m, n) profile time (drawing,
-building and eliminating the stack), in whole milliseconds; a cell measured
-again adds the time of that measurement.
+A record's `ms` is its equal share of its (m, n) group's time (every
+measurement the group made), in whole milliseconds.
 
 Records are emitted in a fixed key order so that JSON-lines and CSV output
 carry identical content.  An optional append-only cache keyed by
@@ -33,16 +33,12 @@ import io
 import json
 import sys
 import time
-from bisect import bisect_left
 from contextlib import ExitStack
-
-import numpy as np
 
 from .bounds import (Statement, ambient_dim, classify, conjecture_verdict,
                      expected_dim, unbalanced_expected_dim)
 from .certificates import eval_statement_checked
-from .field import PRIMARY_PRIME, PrimeField, SeededRng, _eliminate, derive_seed
-from .tensorspace import PointConstraint, sample_point, tangent_rows
+from .field import PRIMARY_PRIME, PrimeField
 
 RECORD_FIELDS = ("m", "n", "d", "s", "t", "expected", "rank", "defect",
                  "abundance", "conjecture", "agree", "seed", "prime", "ms")
@@ -76,39 +72,34 @@ def evaluate_cell(m: int, n: int, s: int, seed: int = 0,
     return _record(m, n, s, verdict.expected, verdict.rank, seed, prime, ms)
 
 
-def _profile_ranks(m: int, n: int, s_top: int, seed: int,
-                   field: PrimeField) -> list[int]:
-    """Rank of the tangent spaces at the first s of s_top generic points, for
-    s = 0..s_top, from one elimination of the transposed stack: the rank at s
-    is the number of its pivot columns below s (m+n+2).  The points are drawn
-    in order, so a smaller s_top draws a prefix of the same points."""
-    rng = SeededRng(derive_seed(seed, "profile", m, n), field)
-    stack = np.vstack([
-        tangent_rows(sample_point(rng, PointConstraint.GENERIC, m, n),
-                     m, n, 2, field).array
-        for _ in range(s_top)])
-    pivots = _eliminate(np.ascontiguousarray(stack.T), field.p, stack.shape[1])
-    return [bisect_left(pivots, s * (m + n + 2)) for s in range(s_top + 1)]
-
-
 def _scan_group(task: tuple) -> list[dict]:
-    """Records of the cells (m, n, s), s in s_list, in order."""
+    """Records of the cells (m, n, s), s in s_list, in order.  Each walk
+    stops at its first `true` cell or at the end of s_values(m, n).  A cell
+    both walks reach (N divisible by m+n+1) is measured once, and a cached
+    cell outside s_list may be measured but is not returned."""
     m, n, s_list, seed, prime, trials = task
     start = time.perf_counter()
-    ranks = _profile_ranks(m, n, max(s_list), seed, PrimeField(prime))
+    measured: dict[int, dict] = {}
+
+    def short(s: int) -> bool:
+        if s not in measured:
+            measured[s] = evaluate_cell(m, n, s, seed, prime, trials)
+        return measured[s]["defect"] > 0
+
+    s, top = ambient_dim(m, n, 2) // (m + n + 1), max(s_values(m, n))
+    while short(s) and s > 1:
+        s -= 1
+    s = top - 1  # ceil(N / (m+n+1))
+    while short(s) and s < top:
+        s += 1
     share = int((time.perf_counter() - start) * 1000 / len(s_list))
     out = []
     for s in s_list:
-        expected = expected_dim(Statement(m, n, 2, s, 0))
-        if ranks[s] > expected:
-            raise ArithmeticError(
-                f"rank {ranks[s]} exceeds expected {expected} at "
-                f"({m}, {n}, {s}); semicontinuity violated")
-        if ranks[s] == expected:
-            rec = _record(m, n, s, expected, ranks[s], seed, prime, share)
+        if s in measured:
+            rec = dict(measured[s], ms=share)
         else:
-            rec = evaluate_cell(m, n, s, seed, prime, trials)
-            rec["ms"] += share
+            expected = expected_dim(Statement(m, n, 2, s, 0))
+            rec = _record(m, n, s, expected, expected, seed, prime, share)
         out.append(rec)
     return out
 
@@ -120,22 +111,25 @@ def cache_key(rec: dict) -> str:
 def load_cache(path: str) -> dict[str, dict]:
     """Cached records by cache_key.  An unparsable last line is the torn tail
     of an interrupted write and is skipped with a note on stderr; a bad line
-    anywhere else raises."""
+    anywhere else, or a line that is not a record, raises ValueError."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = [line for line in fh.read().splitlines() if line.strip()]
+            lines = [(no, line) for no, line in enumerate(fh.read().splitlines(), 1)
+                     if line.strip()]
     except FileNotFoundError:
         return {}
     out: dict[str, dict] = {}
-    for pos, line in enumerate(lines):
+    for pos, (no, line) in enumerate(lines):
         try:
             rec = json.loads(line)
-        except ValueError:
+        except ValueError as exc:
             if pos + 1 < len(lines):
-                raise
+                raise ValueError(f"{path} line {no}: {exc}") from None
             print(f"secantdim scan: skipping torn last line of {path}",
                   file=sys.stderr)
             break
+        if not isinstance(rec, dict) or not rec.keys() >= set(RECORD_FIELDS):
+            raise ValueError(f"{path} line {no}: not a scan record")
         out[cache_key(rec)] = rec
     return out
 

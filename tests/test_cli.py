@@ -200,3 +200,13 @@ def test_scan_cache_flag(tmp_path, capsys):
     capsys.readouterr()
     with open(cache) as fh:
         assert sum(1 for _ in fh) > first
+
+
+@pytest.mark.parametrize("bad", ['{"m": 1}', "[1, 2]"], ids=["object", "list"])
+def test_scan_cache_line_not_a_record(tmp_path, capsys, bad):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(bad + "\n")
+    code, _, err = run(capsys, "scan", "--max-m", "1", "--max-n", "1",
+                       "--cache", str(cache))
+    assert code == 1 and "secantdim: error:" in err and "line 1" in err
+    assert "Traceback" not in err

@@ -4,14 +4,13 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from secantdim import scan
-from secantdim.bounds import Statement, expected_dim
-from secantdim.field import PrimeField
 from secantdim.scan import (RECORD_FIELDS, defective_triples, evaluate_cell,
                             load_cache, records_to_csv, records_to_jsonl,
                             run_scan, s_values, scan_summary)
@@ -41,26 +40,14 @@ def test_scan_matches_golden():
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_profile_ranks_match_evaluate_cell(seed):
-    field = PrimeField()
-    for m in range(1, 5):
-        for n in range(1, 5):
-            s_top = max(s_values(m, n))
-            ranks = scan._profile_ranks(m, n, s_top, seed, field)
-            assert ranks[0] == 0 and len(ranks) == s_top + 1
-            for s in s_values(m, n):
-                assert ranks[s] == evaluate_cell(m, n, s, seed)["rank"], (m, n, s)
+def test_scan_ranks_match_evaluate_cell(seed):
+    # a cell settled by monotonicity has the rank its own measurement gives
+    for rec in run_scan(4, 4, seed=seed):
+        m, n, s = rec["m"], rec["n"], rec["s"]
+        assert rec["rank"] == evaluate_cell(m, n, s, seed)["rank"], (m, n, s)
 
 
-def test_only_short_cells_are_measured_again(monkeypatch):
-    field = PrimeField()
-    short = set()
-    for m in range(1, 4):
-        for n in range(1, 4):
-            ranks = scan._profile_ranks(m, n, max(s_values(m, n)), 0, field)
-            short |= {(m, n, s) for s in s_values(m, n)
-                      if ranks[s] < expected_dim(Statement(m, n, 2, s, 0))}
-    assert short == {(2, 3, 5)}
+def test_cells_measured_outward_from_filling(monkeypatch):
     calls = []
     measure = scan.eval_statement_checked
 
@@ -70,21 +57,14 @@ def test_only_short_cells_are_measured_again(monkeypatch):
 
     monkeypatch.setattr(scan, "eval_statement_checked", counting)
     records = run_scan(3, 3, seed=0, trials=3)
-    assert calls == sorted(short)
+    # down from floor(N / (m+n+1)), then up from ceil, each to a true cell;
+    # (2, 3, 5) is short, so both walks step past it, and it is measured once
+    assert calls == [(1, 1, 2), (1, 2, 3), (1, 3, 4), (2, 1, 2), (2, 1, 3),
+                     (2, 2, 3), (2, 2, 4), (2, 3, 5), (2, 3, 4), (2, 3, 6),
+                     (3, 1, 2), (3, 1, 3), (3, 2, 4), (3, 3, 5), (3, 3, 6)]
     with open(os.path.join(GOLDEN, "scan_3_3.jsonl")) as fh:
         golden = [json.loads(line) for line in fh]
     assert [dict(r, ms=0) for r in records] == golden
-
-
-def test_profile_rank_above_expected_raises(monkeypatch):
-    profile = scan._profile_ranks
-
-    def inflated(m, n, s_top, seed, field):
-        return [r + 1 for r in profile(m, n, s_top, seed, field)]
-
-    monkeypatch.setattr(scan, "_profile_ranks", inflated)
-    with pytest.raises(ArithmeticError):
-        run_scan(2, 2, seed=0, trials=1)
 
 
 @pytest.mark.parametrize("kwargs", [{"trials": 0}, {"trials": -1},
@@ -153,9 +133,15 @@ def test_cache_bad_inner_line_raises(tmp_path):
     cache = tmp_path / "cells.jsonl"
     run_scan(1, 2, seed=0, trials=2, cache_path=str(cache))
     lines = cache.read_text().splitlines(keepends=True)
-    cache.write_text(lines[0][:10] + "\n" + "".join(lines[1:]))
-    with pytest.raises(ValueError):
-        load_cache(str(cache))
+    for bad in (lines[0][:10], '{"m": 1}', "[1, 2]"):
+        cache.write_text(bad + "\n" + "".join(lines[1:]))
+        with pytest.raises(ValueError, match=re.escape(f"{cache} line 1")):
+            load_cache(str(cache))
+    # a line that parses but is not a record is no torn tail, even when last
+    for bad in ('{"m": 1}', "[1, 2]"):
+        cache.write_text("".join(lines[1:]) + bad + "\n")
+        with pytest.raises(ValueError, match=f"line {len(lines)}: not a scan record"):
+            load_cache(str(cache))
 
 
 def test_defective_triples_and_summary():
