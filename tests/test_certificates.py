@@ -16,7 +16,6 @@ from secantdim.certificates import (OUTCOME_DEFICIENT, OUTCOME_TRUE, Verdict,
                                     witness_Rmm)
 from secantdim.field import (PRIMARY_PRIME, SECONDARY_PRIME, DenseMatrix,
                              PrimeField, SeededRng, derive_seed, rank, vstack)
-from secantdim.scan import run_scan
 
 F = PrimeField(PRIMARY_PRIME)
 # The top supported modulus, as in test_field.py.
@@ -80,14 +79,11 @@ def test_rank_monotone_in_s():
 
 def test_rank_above_expected_raises(monkeypatch):
     # semicontinuity: a rank above the expected dimension means the rows
-    # were built wrong, and must raise rather than certify; the scan has no
-    # rank path of its own, so it raises from the same guard
+    # were built wrong, and must raise rather than certify
     st = Statement(2, 3, 2, 4, 0)
     monkeypatch.setattr(certificates, "rank", lambda mat: expected_dim(st) + 1)
     with pytest.raises(ArithmeticError):
         eval_statement(st)
-    with pytest.raises(ArithmeticError):
-        run_scan(2, 2, seed=0, trials=1)
 
 
 def test_cross_prime_check():

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from secantdim import scan
+from secantdim import certificates, scan
 from secantdim.scan import (RECORD_FIELDS, defective_triples, evaluate_cell,
                             load_cache, records_to_csv, records_to_jsonl,
                             run_scan, s_values, scan_summary)
@@ -65,6 +65,14 @@ def test_cells_measured_outward_from_filling(monkeypatch):
     with open(os.path.join(GOLDEN, "scan_3_3.jsonl")) as fh:
         golden = [json.loads(line) for line in fh]
     assert [dict(r, ms=0) for r in records] == golden
+
+
+def test_profile_rank_above_expected_raises(monkeypatch):
+    # the scan has no rank path of its own: a rank above the expected
+    # dimension raises from the same semicontinuity guard as eval_statement
+    monkeypatch.setattr(certificates, "rank", lambda mat: 10**6)
+    with pytest.raises(ArithmeticError):
+        run_scan(2, 2, seed=0, trials=1)
 
 
 @pytest.mark.parametrize("kwargs", [{"trials": 0}, {"trials": -1},
