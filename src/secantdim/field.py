@@ -26,8 +26,11 @@ exact under three bounds:
   residue minus both stays far inside a signed 64-bit word and one
   reduction per block suffices.
 
-``rank`` eliminates a tall matrix as its transpose, so the elimination
-pivots on the short side.
+A matrix at most two panels (64 columns) wide is eliminated as one panel:
+it has no trailing update, so it takes no float64 product and only the
+first bound applies.  The rank calls of the certificates are mostly this
+narrow.  ``rank`` eliminates a tall matrix as its transpose, so the
+elimination pivots on the short side.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ class DenseMatrix:
     __slots__ = ("field", "array")
 
     def __init__(self, entries, field: PrimeField):
-        arr = np.array(entries, dtype=np.int64)
+        arr = np.asarray(entries, dtype=np.int64)  # % p below copies it
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {arr.shape}")
         self.field = field
@@ -180,29 +183,34 @@ def _eliminate(a: np.ndarray, p: int, npiv: int) -> list[int]:
     triangular.  Then the panel's pivot rows are brought up to date on the
     columns right of the panel, U12 = L11^-1 A12, and the rows below them
     get the trailing update A22 -= L21 U12; both are one exact product
-    (_sub_product)."""
+    (_sub_product).  A matrix of at most two panels' width is one panel, so
+    it has no trailing update and takes no float64 product."""
     cols = a.shape[1]
+    width = _PANEL if cols > 2 * _PANEL else max(cols, 1)
     r, pivots = 0, []
-    for c0 in range(0, cols, _PANEL):
+    for c0 in range(0, cols, width):
         if r == npiv:
             break
-        c1 = min(c0 + _PANEL, cols)
+        c1 = min(c0 + width, cols)
         r0, panel = r, []
         for col in range(c0, c1):
             if r == npiv:
                 break
-            if a[r, col] == 0:
+            pivot = a.item(r, col)
+            if pivot == 0:
                 hits = np.nonzero(a[r + 1:npiv, col])[0]
                 if hits.size == 0:
                     continue
                 piv = r + 1 + int(hits[0])
                 a[[r, piv]] = a[[piv, r]]
                 a[piv] = -a[piv] % p
-            factors = a[r + 1:, col] * pow(int(a[r, col]), -1, p) % p
+                pivot = a.item(r, col)
+            factors = a[r + 1:, col]  # the multipliers, scaled in place
+            factors *= pow(pivot, -1, p)
+            factors %= p
             below = a[r + 1:, col + 1:c1]
             below -= factors[:, None] * a[r, col + 1:c1]
             below %= p
-            a[r + 1:, col] = factors
             panel.append(col)
             r += 1
         k = len(panel)
@@ -310,7 +318,7 @@ class SeededRng:
             raise ValueError("nonzero vector needs positive length")
         while True:
             v = self.elements(length)
-            if np.any(v != 0):
+            if v.any():
                 return v
 
 

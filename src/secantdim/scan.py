@@ -75,11 +75,12 @@ def evaluate_cell(m: int, n: int, s: int, seed: int = 0,
 def _scan_group(task: tuple) -> list[dict]:
     """Records of the cells (m, n, s), s in s_list, in order.  Each walk
     stops at its first `true` cell or at the end of s_values(m, n).  A cell
-    both walks reach (N divisible by m+n+1) is measured once, and a cached
-    cell outside s_list may be measured but is not returned."""
-    m, n, s_list, seed, prime, trials = task
+    both walks reach (N divisible by m+n+1) is measured once, and a cell in
+    cached (the group's cached records by s) is read there, not measured,
+    and is not returned."""
+    m, n, s_list, seed, prime, trials, cached = task
     start = time.perf_counter()
-    measured: dict[int, dict] = {}
+    measured = dict(cached)
 
     def short(s: int) -> bool:
         if s not in measured:
@@ -146,16 +147,16 @@ def run_scan(max_m: int, max_n: int, seed: int = 0, prime: int = PRIMARY_PRIME,
     groups = []
     for m in range(1, max_m + 1):
         for n in range(1, max_n + 1):
-            todo = []
+            todo, known = [], {}
             for s in s_values(m, n):
                 key = cache_key({"m": m, "n": n, "d": 2, "s": s, "t": 0,
                                  "seed": seed, "prime": prime})
                 if key in cached:
-                    records[(m, n, s)] = cached[key]
+                    records[(m, n, s)] = known[s] = cached[key]
                 else:
                     todo.append(s)
             if todo:
-                groups.append((m, n, todo, seed, prime, trials))
+                groups.append((m, n, todo, seed, prime, trials, known))
 
     with ExitStack() as stack:
         fresh = map(_scan_group, groups)

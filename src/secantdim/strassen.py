@@ -53,15 +53,15 @@ def slices_from_points(points: Sequence[Point], k: int,
     """phi = sum_i u_i (x) v_i^2, slice a = sum_i u_i[a] * v_i v_i^T."""
     w = 2 * k + 2
     p = field.p
-    slices = [np.zeros((w, w), dtype=np.int64) for _ in range(3)]
-    for pt in points:
-        if len(pt.u) != 3 or len(pt.v) != w:
-            raise ValueError("point has wrong factor lengths for this k")
-        v = np.array(pt.v, dtype=np.int64) % p
-        outer = np.outer(v, v) % p
-        for a in range(3):
-            slices[a] = (slices[a] + (pt.u[a] % p) * outer) % p
-    return SymTensor3(k, tuple(slices), field)
+    if any(len(pt.u) != 3 or len(pt.v) != w for pt in points):
+        raise ValueError("point has wrong factor lengths for this k")
+    u = np.array([pt.u for pt in points], dtype=np.int64).reshape(-1, 3) % p
+    v = np.array([pt.v for pt in points], dtype=np.int64).reshape(-1, w) % p
+    outer = v[:, :, None] * v[:, None, :] % p
+    # [a, i] = u_i[a] v_i v_i^T mod p, below p, so the sum over the s
+    # points stays below s p < 2^63
+    terms = u.T[:, :, None, None] * outer % p
+    return SymTensor3(k, tuple(terms.sum(axis=1) % p), field)
 
 
 def random_tensor(rng: SeededRng, k: int) -> SymTensor3:
@@ -77,8 +77,8 @@ def random_tensor(rng: SeededRng, k: int) -> SymTensor3:
 
 def random_points(rng: SeededRng, count: int, k: int) -> list[Point]:
     w = 2 * k + 2
-    return [Point(tuple(int(x) for x in rng.nonzero_vector(3)),
-                  tuple(int(x) for x in rng.nonzero_vector(w)))
+    return [Point(tuple(rng.nonzero_vector(3).tolist()),
+                  tuple(rng.nonzero_vector(w).tolist()))
             for _ in range(count)]
 
 

@@ -71,12 +71,27 @@ def monomial_basis(n: int, d: int) -> MonomialBasis:
 
 
 @lru_cache(maxsize=None)
-def _raise_index(n: int, d: int) -> np.ndarray:
-    """[j, pos]: index in degree d of e_j + the pos-th monomial of degree d - 1."""
-    index = monomial_basis(n, d).index
-    table = np.array([[index(nu[:j] + (nu[j] + 1,) + nu[j + 1:])
-                       for nu in monomial_basis(n, d - 1).exponents]
+def _lower_index(n: int, d: int) -> np.ndarray:
+    """[j, pos]: index in degree d - 1 of the pos-th monomial mu of degree d
+    minus e_j, or len(monomial_basis(n, d - 1)) when mu_j = 0."""
+    lower = monomial_basis(n, d - 1)
+    table = np.array([[lower.index(mu[:j] + (mu[j] - 1,) + mu[j + 1:])
+                       if mu[j] else len(lower)
+                       for mu in monomial_basis(n, d).exponents]
                       for j in range(n + 1)], dtype=np.intp)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _window_index(idx: tuple[int, ...], n: int, d: int) -> np.ndarray:
+    """Indices in degree d of the monomials in the variables f_i, i in idx
+    (sorted), in the descending lex order of their exponents on idx."""
+    index = monomial_basis(n, d).index
+    table = np.array([index(tuple(dict(zip(idx, smu)).get(j, 0)
+                                  for j in range(n + 1)))
+                      for smu in monomial_basis(len(idx) - 1, d).exponents],
+                     dtype=np.intp)
     table.setflags(write=False)
     return table
 
@@ -110,11 +125,16 @@ def power_row(v: Sequence[int], basis: MonomialBasis, p: int) -> np.ndarray:
     Every product is of two residues, so it stays below p^2 < 2^63."""
     if len(v) != basis.n + 1:
         raise ValueError("vector and exponent lengths differ")
-    variables, coeffs = _power_tables(basis.n, basis.d)
-    vals = np.array(v, dtype=np.int64) % p
+    return _power(np.array(v, dtype=np.int64) % p, basis.n, basis.d, p)
+
+
+def _power(vals: np.ndarray, n: int, d: int, p: int) -> np.ndarray:
+    """power_row of the residues vals."""
+    variables, coeffs = _power_tables(n, d)
     out = coeffs % p
     for var in variables:
-        out = out * vals[var] % p
+        out *= vals[var]
+        out %= p
     return out
 
 
@@ -159,10 +179,11 @@ def sample_point(rng: SeededRng, constraint: PointConstraint, m: int, n: int) ->
     if not window:
         raise ValueError(f"constraint {constraint.value} infeasible for n = {n}")
     u = rng.nonzero_vector(m + 1)
-    vals = rng.nonzero_vector(len(window))
-    v = np.zeros(n + 1, dtype=np.int64)
-    v[window] = vals
-    return Point(tuple(int(x) for x in u), tuple(int(x) for x in v))
+    v = vals = rng.nonzero_vector(len(window))
+    if len(window) != n + 1:  # zero outside the window
+        v = np.zeros(n + 1, dtype=np.int64)
+        v[window] = vals
+    return Point(tuple(u.tolist()), tuple(v.tolist()))
 
 
 def sample_point_off_l(rng: SeededRng, m: int, n: int) -> Point:
@@ -186,15 +207,17 @@ def tangent_rows(point: Point, m: int, n: int, d: int, field: PrimeField) -> Den
     if d < 1:
         raise ValueError("embedding degree must be >= 1")
     p = field.p
-    u = np.array(point.u, dtype=np.int64) % p
-    basis = monomial_basis(n, d)
-    vlow = power_row(point.v, monomial_basis(n, d - 1), p)
-    mon = np.zeros((n + 1, len(basis)), dtype=np.int64)
-    np.put_along_axis(mon, _raise_index(n, d), vlow[None, :], axis=1)
+    v = np.array(point.v, dtype=np.int64) % p
+    # v^(d-1) with a trailing 0, which the table's missing monomials read
+    vlow = np.append(_power(v, n, d - 1, p), 0)
+    mon = vlow[_lower_index(n, d)]
+    vd = _power(v, n, d, p)
     # products of residues stay below p^2 < 2^63; DenseMatrix reduces the
     # whole stack mod p once
+    if m == 0:  # no V factor to broadcast over
+        return DenseMatrix(np.vstack([vd, mon * (point.u[0] % p)]), field)
+    u = np.array(point.u, dtype=np.int64) % p
     derivs = (mon[:, None, :] * u[None, :, None]).reshape(n + 1, -1)
-    vd = power_row(point.v, basis, p)
     return DenseMatrix(np.vstack([_slice_block(vd, m), derivs]), field)
 
 
@@ -216,19 +239,12 @@ def subspace_rows(indices: Sequence[int], m: int, n: int, d: int,
     idx = sorted(set(int(i) for i in indices))
     if any(i < 0 or i > n for i in idx):
         raise ValueError("subspace indices outside 0..n")
-    basis = monomial_basis(n, d)
-    nmon = len(basis)
+    nmon = len(monomial_basis(n, d))
     cols = (m + 1) * nmon
     if not idx:
         return DenseMatrix(np.zeros((0, cols), dtype=np.int64), field)
-    sub = monomial_basis(len(idx) - 1, d)
-    arr = np.zeros(((m + 1) * len(sub), cols), dtype=np.int64)
-    row = 0
-    for i in range(m + 1):
-        for smu in sub.exponents:
-            mu = [0] * (n + 1)
-            for pos, e in zip(idx, smu):
-                mu[pos] = e
-            arr[row, i * nmon + basis.index(tuple(mu))] = 1
-            row += 1
+    # row i * len(window) + k is the unit vector e_i (x) (k-th window monomial)
+    ones = (np.arange(m + 1)[:, None] * nmon + _window_index(tuple(idx), n, d)).ravel()
+    arr = np.zeros((len(ones), cols), dtype=np.int64)
+    arr[np.arange(len(ones)), ones] = 1
     return DenseMatrix(arr, field)

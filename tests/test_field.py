@@ -305,6 +305,50 @@ def test_rank_of_tall_matrices_matches_unblocked(p):
             assert rank(DenseMatrix(arr, field)) == want, (kind, rows, cols)
 
 
+@pytest.mark.parametrize("p", [PRIMARY_PRIME, TOP.p])
+def test_narrow_matrices_are_one_panel(p, monkeypatch):
+    # up to two panel widths (64 columns) a matrix is eliminated as one
+    # panel and takes no float64 product; at 65 columns the first panel's
+    # trailing update is one
+    products = []
+    sub_product = _sub_product
+
+    def counting(c, l, u, p):
+        products.append(c.shape)
+        sub_product(c, l, u, p)
+
+    monkeypatch.setattr("secantdim.field._sub_product", counting)
+    rng = np.random.default_rng(p % 991)
+    for cols in (64, 65):
+        rows, npiv = cols + 3, cols - 2
+        for kind, arr in _property_matrices(rng, p, (rows, cols)):
+            products.clear()
+            want = arr.copy()
+            want_pivots = _unblocked_eliminate(want, p, npiv)
+            got = arr.copy()
+            assert _eliminate(got, p, npiv) == want_pivots, (kind, cols)
+            assert bool(products) == (cols == 65), (kind, cols)
+            for i, col in enumerate(want_pivots):  # the echelon rows
+                assert got[i, col:].tolist() == want[i, col:].tolist()
+            free = [c for c in range(cols) if c not in want_pivots]
+            assert got[npiv:, free].tolist() == want[npiv:, free].tolist()
+
+
+@pytest.mark.parametrize("p", [PRIMARY_PRIME, TOP.p])
+def test_empty_shapes(p):
+    field = PrimeField(p)
+
+    def zeros(rows, cols):
+        return DenseMatrix(np.zeros((rows, cols), dtype=np.int64), field)
+
+    for shape in ((0, 0), (0, 5), (5, 0)):
+        assert rank(zeros(*shape)) == 0
+    assert det(zeros(0, 0)) == 1
+    for gens, rows in (((0, 0), (0, 0)), ((2, 0), (3, 0)), ((0, 4), (3, 4))):
+        dim_y, reduced = reduce_rows(zeros(*gens), zeros(*rows))
+        assert dim_y == 0 and reduced.array.shape == rows
+
+
 def test_reduce_rows_measures_the_quotient():
     rng = SeededRng(derive_seed(8, "reduce"), F)
     gens = DenseMatrix(rng.elements((3, 7)), F)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -65,6 +66,43 @@ def test_cells_measured_outward_from_filling(monkeypatch):
     with open(os.path.join(GOLDEN, "scan_3_3.jsonl")) as fh:
         golden = [json.loads(line) for line in fh]
     assert [dict(r, ms=0) for r in records] == golden
+
+
+@pytest.mark.parametrize("jobs, drop, want", [
+    (1, (), [(3, 3, 6)]),
+    (2, (), [(3, 3, 6)]),
+    # with a second group left the resume runs in the process pool
+    (2, ((1, 1),), [(1, 1, 2), (3, 3, 6)]),
+])
+def test_resume_reads_cached_cells_of_a_cut_group(tmp_path, monkeypatch, jobs,
+                                                  drop, want):
+    if drop and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the counting wrapper only when forked")
+    cache = tmp_path / "cells.jsonl"
+    whole = run_scan(3, 3, seed=0, cache_path=str(cache))
+    kept = []
+    for line in cache.read_text().splitlines(keepends=True):
+        rec = json.loads(line)
+        group = (rec["m"], rec["n"])
+        if group not in drop and (group != (3, 3) or rec["s"] <= 5):
+            kept.append(line)
+    cache.write_text("".join(kept))
+    # the walk of (3, 3) passes the cached (3, 3, 5) and must not measure it
+    # again; calls go to a file, which pool workers append to as well
+    log = tmp_path / "calls"
+    measure = scan.eval_statement_checked
+
+    def counting(st, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{st.m} {st.n} {st.s}\n")
+        return measure(st, **kwargs)
+
+    monkeypatch.setattr(scan, "eval_statement_checked", counting)
+    resumed = run_scan(3, 3, seed=0, jobs=jobs, cache_path=str(cache))
+    calls = sorted(tuple(map(int, line.split()))
+                   for line in log.read_text().splitlines())
+    assert calls == want
+    assert _without_ms(resumed) == _without_ms(whole)
 
 
 def test_profile_rank_above_expected_raises(monkeypatch):

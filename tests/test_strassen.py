@@ -96,3 +96,22 @@ def test_point_shape_checked():
         slices_from_points([Point((1, 2), (1, 0, 0, 1))], 1, F)
     with pytest.raises(ValueError):
         slices_from_points([Point((1, 2, 3), (1, 0, 0))], 1, F)
+
+
+@pytest.mark.parametrize("prime", [PRIMARY_PRIME, 3_037_000_493])
+def test_slices_match_point_loop(prime):
+    # against slice a = sum_i u_i[a] v_i v_i^T, point by point in Python ints
+    field = PrimeField(prime)
+    rng = SeededRng(derive_seed(13, "slices", prime), field)
+    for k in range(0, 8):
+        w = 2 * k + 2
+        top = Point((prime - 1,) * 3, (prime - 1,) * w)
+        for pts in (random_points(rng, 3 * k + 2, k), [top] * (3 * k + 2),
+                    random_points(rng, 2, k) + [top], []):
+            want = [[[sum(pt.u[a] * pt.v[i] * pt.v[j] for pt in pts) % prime
+                      for j in range(w)] for i in range(w)] for a in range(3)]
+            got = slices_from_points(pts, k, field)
+            assert [sl.tolist() for sl in got.slices] == want, (k, len(pts))
+        bad = random_points(rng, 2, k) + [Point((1, 2, 3), (1,) * (w - 1))]
+        with pytest.raises(ValueError, match="wrong factor lengths"):
+            slices_from_points(bad, k, field)

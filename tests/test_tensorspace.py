@@ -156,9 +156,17 @@ def test_tangent_rows_match_monomial_loop(prime):
     rng = SeededRng(derive_seed(15, "tloop", prime), field)
     for n in range(0, 7):
         for d in (1, 2, 3):
-            for m in (0, 2):
+            for m in (0, 1, 2):
                 top = Point((prime - 1,) * (m + 1), (prime - 1,) * (n + 1))
-                for pt in (sample_point(rng, PointConstraint.GENERIC, m, n), top):
+                pts = [sample_point(rng, PointConstraint.GENERIC, m, n), top]
+                if m == 0:
+                    # the oracle passes u = (1,); m = 0 has its own path, so
+                    # other u, and v with zeros, go through it too
+                    v = sample_point(rng, PointConstraint.GENERIC, m, n).v
+                    pts += [Point((1,), v), Point((prime - 1,), v),
+                            Point((int(rng.elements(1)[0]) or 1,),
+                                  (0,) * n + (prime - 1,))]
+                for pt in pts:
                     got = tangent_rows(pt, m, n, d, field).array.tolist()
                     assert got == _tangent_rows_by_monomial(pt, m, n, d, prime), \
                         (m, n, d, pt)
