@@ -60,10 +60,11 @@ def build_parser() -> _Parser:
                                  "of P^m x P^n in bidegree (1, d)")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prime", type=int, default=PRIMARY_PRIME)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", type=str, default=None)
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0)
     # subcommands that measure ranks by seeded trials
-    trials = argparse.ArgumentParser(add_help=False, parents=[common])
+    trials = argparse.ArgumentParser(add_help=False, parents=[seeded])
     trials.add_argument("--trials", type=_count, default=3)
     # subcommands that take one statement S(m, n; 1, d; s; t)
     statement = argparse.ArgumentParser(add_help=False, parents=[trials])
@@ -85,16 +86,19 @@ def build_parser() -> _Parser:
     p.add_argument("--jobs", type=_count, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("certify", parents=[trials],
+    # None unless given, so each certificate keeps its own defaults
+    p = sub.add_parser("certify", parents=[common],
                        help="run one named certificate")
     p.add_argument("name", type=str)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--trials", type=_count, default=None)
 
     sub.add_parser("prove", parents=[statement],
                    help="search for an inductive proof")
 
-    p = sub.add_parser("strassen", parents=[common],
+    p = sub.add_parser("strassen", parents=[seeded],
                        help="skew-matrix rank/Pfaffian for a (1,2) tensor")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, default=None)
@@ -149,7 +153,8 @@ def cmd_certify(args) -> int:
         flags = ", ".join(f"--{p}" for p in missing)
         print(f"secantdim certify {name}: missing {flags}", file=sys.stderr)
         return EXIT_USAGE
-    unused = [p for p in ("m", "n") if p not in required
+    takes = required if cert is witness_Rmm else required + ("seed", "trials")
+    unused = [p for p in ("m", "n", "seed", "trials") if p not in takes
               and getattr(args, p) is not None]
     if unused:
         flags = ", ".join(f"--{p}" for p in unused)
@@ -164,8 +169,9 @@ def cmd_certify(args) -> int:
         _emit(json.dumps({"certificate": name, "m": args.m,
                           "outcome": outcome}) + "\n", args.out)
         return EXIT_OK if ok else EXIT_DEFICIENT
-    verdict = cert(*params.values(), seed=args.seed, trials=args.trials,
-                   field=field)
+    given = {p: getattr(args, p) for p in ("seed", "trials")
+             if getattr(args, p) is not None}
+    verdict = cert(*params.values(), field=field, **given)
     payload = {"certificate": name, "params": params}
     payload.update(verdict.as_dict())
     _emit(json.dumps(payload) + "\n", args.out)
@@ -189,6 +195,9 @@ def cmd_prove(args) -> int:
 def cmd_strassen(args) -> int:
     if args.k < 1:
         print("secantdim strassen: --k must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.s is not None and args.s < 0:
+        print("secantdim strassen: --s must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     field = PrimeField(args.prime)
     order = 3 * (2 * args.k + 2)

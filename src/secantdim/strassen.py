@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .field import DenseMatrix, PrimeField, SeededRng, pfaffian
-from .tensorspace import Point
+from .tensorspace import Point, PointConstraint, sample_point
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,8 @@ def random_tensor(rng: SeededRng, k: int) -> SymTensor3:
 
 
 def random_points(rng: SeededRng, count: int, k: int) -> list[Point]:
-    w = 2 * k + 2
-    return [Point(tuple(rng.nonzero_vector(3).tolist()),
-                  tuple(rng.nonzero_vector(w).tolist()))
+    """count generic points of P^2 x P^(2k+1)."""
+    return [sample_point(rng, PointConstraint.GENERIC, 2, 2 * k + 1)
             for _ in range(count)]
 
 

@@ -186,16 +186,6 @@ def sample_point(rng: SeededRng, constraint: PointConstraint, m: int, n: int) ->
     return Point(tuple(u.tolist()), tuple(v.tolist()))
 
 
-def sample_point_off_l(rng: SeededRng, m: int, n: int) -> Point:
-    """Generic point that provably avoids P(V) x P(span(f_0..f_{n-2})): some
-    W-coordinate outside the ON_L window is nonzero."""
-    on_l = PointConstraint.ON_L.window(n)
-    while True:
-        pt = sample_point(rng, PointConstraint.GENERIC, m, n)
-        if any(x for j, x in enumerate(pt.v) if j not in on_l):
-            return pt
-
-
 def tangent_rows(point: Point, m: int, n: int, d: int, field: PrimeField) -> DenseMatrix:
     """The m + n + 2 spanning rows of the affine tangent space at [u (x) v^d].
 

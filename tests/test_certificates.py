@@ -47,8 +47,14 @@ def test_known_true_statements():
 
 
 def test_empty_statement():
-    v = eval_statement(Statement(3, 3, 2, 0, 0))
-    assert v.rank == 0 and v.expected == 0 and v.outcome == "true"
+    """No points and no slices: rank 0 of expected 0 on the first trial, and
+    the trial count is still checked."""
+    for m, n, d in itertools.product((0, 1, 3), (0, 3), (1, 2)):
+        st = Statement(m, n, d, 0, 0)
+        for oracle in (eval_statement, eval_statement_checked):
+            assert oracle(st) == Verdict(0, 0, 1, OUTCOME_TRUE)
+            with pytest.raises(ValueError, match="at least one trial"):
+                oracle(st, trials=0)
 
 
 def test_eval_reproducible():

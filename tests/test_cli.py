@@ -5,7 +5,9 @@ import os
 
 import pytest
 
+from secantdim import cli
 from secantdim.bounds import Statement
+from secantdim.certificates import certify_Q
 from secantdim.cli import main
 from secantdim.prover import ProofNode, check_proof
 
@@ -61,6 +63,32 @@ def test_certify_witness(capsys):
                                "outcome": "true"}
 
 
+def test_certify_passes_seed_and_trials_only_when_given(capsys, monkeypatch):
+    code, out, _ = run(capsys, "certify", "Q", "--m", "2", "--n", "4",
+                       "--seed", "3", "--trials", "2")
+    assert code == 0
+    want = certify_Q(2, 4, seed=3, trials=2).as_dict()
+    assert json.loads(out) == dict(want, certificate="Q",
+                                   params={"m": 2, "n": 4})
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, sorted(kwargs)))
+        return certify_Q(*args, **kwargs)
+
+    monkeypatch.setitem(cli._CERTS, "Q", (("m", "n"), spy))
+    for flags in ((), ("--seed", "3"), ("--trials", "2"),
+                  ("--seed", "3", "--trials", "2")):
+        assert run(capsys, "certify", "Q", "--m", "2", "--n", "4", *flags)[0] == 0
+    assert calls == [((2, 4), ["field"]), ((2, 4), ["field", "seed"]),
+                     ((2, 4), ["field", "trials"]),
+                     ((2, 4), ["field", "seed", "trials"])]
+
+    code, _, err = run(capsys, "certify", "witnessRmm", "--m", "3", "--seed", "5")
+    assert code == 64 and "--seed" in err
+
+
 def test_prove_tree_and_unknown(capsys):
     code, out, _ = run(capsys, "prove", "--m", "2", "--n", "2", "--s", "3")
     assert code == 0
@@ -97,6 +125,9 @@ def test_strassen_decomposable_and_generic(capsys):
     payload = json.loads(out)
     assert payload["full_rank"] and not payload["pfaffian_zero"]
 
+    code, out, _ = run(capsys, "strassen", "--k", "1", "--s", "0")
+    assert code == 0 and json.loads(out)["rank"] == 0  # the zero tensor
+
 
 def test_scan_golden_and_summary(capsys):
     code, out, err = run(capsys, "scan", "--max-m", "3", "--max-n", "3")
@@ -132,6 +163,8 @@ def test_scan_jobs_matches_serial(capsys):
     ("certify", "Q", "--m", "1", "--n", "3", "--trials", "0"),
     ("certify", "R2n", "--n", "5", "--m", "7"),
     ("certify", "witnessRmm", "--m", "3", "--n", "9"),
+    ("certify", "witnessRmm", "--m", "3", "--seed", "5"),
+    ("certify", "witnessRmm", "--m", "3", "--trials", "2"),
 ])
 def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
     assert run(capsys, *argv)[0] == 64
@@ -143,6 +176,7 @@ def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
      "invalid int value"),
     (("certify", "Q", "--m", "1", "--n", "3", "--prime", "5"), 1,
      "secantdim: error:"),
+    (("strassen", "--k", "1", "--s", "-1"), 64, "--s must be >= 0"),
 ])
 def test_bad_values_exit_with_a_message(capsys, argv, code, message):
     got, _, err = run(capsys, *argv)

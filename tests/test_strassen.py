@@ -1,5 +1,7 @@
 """Skew-matrix rank and Pfaffian behaviour on V (x) S_2(W), dim V = 3."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -115,3 +117,16 @@ def test_slices_match_point_loop(prime):
         bad = random_points(rng, 2, k) + [Point((1, 2, 3), (1,) * (w - 1))]
         with pytest.raises(ValueError, match="wrong factor lengths"):
             slices_from_points(bad, k, field)
+
+
+# md5 of the (u, v) of every point random_points draws below.  A change to
+# the draw stream shows here: Pfaffians and ranks cannot show it, and the
+# seed is meant to reproduce a run.
+POINTS_PIN_MD5 = "7c90590ef4413a39b38298058f9ee57d"
+
+
+def test_random_points_are_pinned():
+    rng = SeededRng(derive_seed(5, "strassen-pin"), F)
+    pts = [(pt.u, pt.v) for k in range(1, 8)
+           for pt in random_points(rng, 3 * k + 2, k)]
+    assert hashlib.md5(repr(pts).encode()).hexdigest() == POINTS_PIN_MD5

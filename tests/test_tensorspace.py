@@ -7,8 +7,7 @@ from secantdim.field import PRIMARY_PRIME, PrimeField, SeededRng, derive_seed, r
 from secantdim.bounds import ambient_dim
 from secantdim.tensorspace import (MonomialBasis, Point, PointConstraint,
                                    monomial_basis, multinomial,
-                                   power_row, sample_point,
-                                   sample_point_off_l, subspace_rows,
+                                   power_row, sample_point, subspace_rows,
                                    tangent_rows, y_rows)
 
 F = PrimeField(PRIMARY_PRIME)
@@ -105,13 +104,6 @@ def test_sample_point_respects_constraint():
             if j not in window:
                 assert vj == 0
         assert any(vj != 0 for vj in pt.v)
-
-
-def test_sample_point_off_l():
-    rng = SeededRng(derive_seed(12, "offl"), F)
-    for _ in range(20):
-        pt = sample_point_off_l(rng, 1, 4)
-        assert any(pt.v[j] != 0 for j in (3, 4))  # must leave the U_L window
 
 
 def test_tangent_rows_hand_example():
