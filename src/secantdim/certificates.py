@@ -11,11 +11,18 @@ evidence of deficiency, cross-checked over a second prime before it is reported.
 The full stack is never eliminated.  Every block but the rows u (x) w,
 w = v^(d-1) f_j, spans V (x) Y' for Y' its m = 0 (Veronese) block.  With
 Y = sum Y', rank = (m+1) dim Y + rank(u (x) (w mod Y)): reduction is linear,
-so the s(n+1) vectors w are reduced in S_d(W) once and V is tensored on last.
-A window block S_d(U) is spanned by monomials, so it is not stacked at all:
-its columns are deleted from the other blocks and counted into dim Y, and
-the w that reduce to zero are left out of the final rank.  Each step is an
-identity for the specialized matrix; a `true` verdict is a proof.
+so the s(n+1) vectors w are reduced in S_d(W) once.  A window block S_d(U)
+is spanned by monomials, so it is not stacked at all: its columns are
+deleted from the other blocks and counted into dim Y.  The rows u (x) w are
+not tensored out either.  A basis of V that starts with a maximal
+independent set u_a of the points' u, picked last point first, makes point
+a's rows e_a (x) W_a, W_a the span of its reduced w, and every other point's
+rows sum_a c_ia e_a (x) w with c_ia the coordinates of its u.  So
+    rank = (m+1) dim Y + sum_a dim W_a + rank(c_ia (w mod W_a)),
+and only that last matrix, without its zero rows and columns, reaches the
+rank kernel.  Dependent u make the set u_a smaller, but every u still lies
+in its span, so the identity needs no other path.  Each step is an identity
+for the specialized matrix; a `true` verdict is a proof.
 
 Four specialized configurations degenerate some points onto the two
 codimension-2 windows of W and adjoin the full coordinate blocks
@@ -46,7 +53,8 @@ import numpy as np
 
 from .bounds import Statement, ambient_dim, expected_dim, s_over, s_under
 from .field import (PRIMARY_PRIME, SECONDARY_PRIME, DenseMatrix, PrimeField,
-                    SeededRng, derive_seed, rank, reduce_rows)
+                    SeededRng, derive_seed, gauss_jordan, rank, reduce_modulo,
+                    reduce_rows)
 from .tensorspace import (Point, PointConstraint, sample_point, subspace_rows,
                           tangent_rows, y_rows)
 
@@ -104,14 +112,25 @@ def _span_rank(m: int, n: int, d: int, field: PrimeField,
                windows: tuple[PointConstraint, ...], points: list[Point],
                ys: list[Point]) -> int:
     """Rank of the window blocks, the tangent spaces at points and the
-    V-slices at ys, stacked.  Each block but the rows u (x) v^(d-1) f_j is
+    V-slices at ys, stacked.  Each block but the rows u_i (x) v_i^(d-1) f_j is
     V (x) Y' for Y' its m = 0 (Veronese) block; with Y the sum of the Y' and
-    w_j = v^(d-1) f_j mod Y in S_d(W), rank = (m+1) dim Y + rank(u (x) w_j).
+    w_ij = v_i^(d-1) f_j mod Y in S_d(W), rank = (m+1) dim Y + rank(u_i (x) w_ij).
 
     A window block S_d(U) is spanned by monomials, so Y is those monomials
     plus the rest of Y with their columns deleted: the window columns are
-    pivots of Y, and the representative of w_j vanishing on Y's pivots is the
-    same.  The w_j that reduce to zero add no rank and are left out."""
+    pivots of Y, and the representative of w_ij vanishing on Y's pivots is the
+    same.
+
+    The rows u_i (x) w_ij change basis on V.  Gauss-Jordan on the u, taken
+    last to first, picks a maximal independent set u_a (for generic draws the
+    last min(s, m+1), the certificates' general points) and the coordinates
+    c_ia of every u_i in it.  In a basis of V that starts with the u_a, point
+    a's rows are e_a (x) w_aj, spanning e_a (x) W_a, and every other row is
+    sum_a c_ia e_a (x) w_ij.  Eliminating the e_a (x) W_a first gives
+        rank(u_i (x) w_ij) = sum_a dim W_a + rank(c_ia (w_ij mod W_a)),
+    the last matrix having one column block per a.  When the u are dependent
+    the set is smaller, every u still lies in its span, and the identity is
+    the same.  Zero rows and columns are left out of the rank."""
     nmon = ambient_dim(0, n, d)  # dim S_d(W)
     spans = [subspace_rows(w.window(n), 0, n, d, field) for w in windows]
     tangents = [tangent_rows(Point((1,), pt.v), 0, n, d, field) for pt in points]
@@ -128,13 +147,30 @@ def _span_rank(m: int, n: int, d: int, field: PrimeField,
     dim_y, rest = reduce_rows(DenseMatrix(np.vstack(gens), field),
                               DenseMatrix(tan[:, 1:].reshape(-1, tan.shape[2]), field))
     dim_y += int(on_window.sum())
-    live = rest.array.any(axis=1)
-    # u reduced mod p, so every product stays below p^2 < 2^63
-    u = np.array([pt.u for pt in points], dtype=np.int64).reshape(-1, m + 1) % field.p
-    u = np.repeat(u, n + 1, axis=0)[live]
-    rows = u[:, :, None] * rest.array[live][:, None, :]
-    rows = rows.reshape(len(u), (m + 1) * rest.cols)
-    return (m + 1) * dim_y + rank(DenseMatrix(rows, field))
+    p = field.p
+    # Gauss-Jordan on u^T with the points last to first: the pivot columns
+    # are the basis points a, and column i then holds u_i's coordinates c_ia
+    coords = np.array([pt.u for pt in reversed(points)],
+                      dtype=np.int64).reshape(-1, m + 1).T % p
+    picked = gauss_jordan(coords[None], p)[0]
+    basis = len(points) - 1 - picked[picked >= 0]
+    coords = coords[picked >= 0, ::-1]
+    blocks = rest.array.reshape(len(points), n + 1, rest.cols)[basis]
+    pivots = gauss_jordan(blocks, p)
+    others = np.ones(len(points), dtype=bool)
+    others[basis] = False
+    rows = rest.array[np.repeat(others, n + 1)]
+    live = rows.any(axis=1)
+    # c_ia reduced mod p, so every product stays below p^2 < 2^63
+    stack = np.repeat(coords[:, others], n + 1, axis=1)[:, live, None] * rows[live]
+    stack %= p
+    reduce_modulo(stack, blocks, pivots, p)
+    # block a's pivot columns are zero now, and go with the other zero columns
+    mat = stack.transpose(1, 0, 2).reshape(stack.shape[1], len(basis) * rest.cols)
+    mat = mat[:, mat.any(axis=0)]
+    mat = mat[mat.any(axis=1)]
+    return ((m + 1) * dim_y + int((pivots >= 0).sum())
+            + rank(DenseMatrix(mat, field)))
 
 
 def _measure(config: Configuration, expected: int, seed: int, trials: int,

@@ -43,15 +43,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _count(text: str) -> int:
-    """A count flag (--trials, --jobs): an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """The type of an integer flag of at least low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+# counts (--trials, --jobs) start at 1; dimensions and point counts at 0
+_count = _int_at_least(1)
+_natural = _int_at_least(0)
 
 
 def build_parser() -> _Parser:
@@ -68,11 +75,11 @@ def build_parser() -> _Parser:
     trials.add_argument("--trials", type=_count, default=3)
     # subcommands that take one statement S(m, n; 1, d; s; t)
     statement = argparse.ArgumentParser(add_help=False, parents=[trials])
-    statement.add_argument("--m", type=int, required=True)
-    statement.add_argument("--n", type=int, required=True)
+    statement.add_argument("--m", type=_natural, required=True)
+    statement.add_argument("--n", type=_natural, required=True)
     statement.add_argument("--d", type=int, default=2)
-    statement.add_argument("--s", type=int, required=True)
-    statement.add_argument("--t", type=int, default=0)
+    statement.add_argument("--s", type=_natural, required=True)
+    statement.add_argument("--t", type=_natural, default=0)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
@@ -80,8 +87,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("scan", parents=[trials],
                        help="sweep a grid for defective secant varieties")
-    p.add_argument("--max-m", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-m", type=_natural, required=True)
+    p.add_argument("--max-n", type=_natural, required=True)
     p.add_argument("--cache", type=str, default=None)
     p.add_argument("--jobs", type=_count, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")

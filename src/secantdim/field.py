@@ -137,7 +137,9 @@ def vstack(mats: Sequence[DenseMatrix]) -> DenseMatrix:
 
 
 def _sub_product(c: np.ndarray, l: np.ndarray, u: np.ndarray, p: int) -> None:
-    """c <- (c - l u) mod p in place, for residues c, l (r x k) and u (k x s).
+    """c <- (c - l u) mod p in place, for residues c, l (r x k) and u (k x s),
+    or stacks of them (b x r x k and so on): then each slice of c takes the
+    product of the same slices of l and u, as in np.matmul.
 
     l u runs as two float64 GEMMs, one per 16-bit limb of u.  Each entry of
     such a product is a sum of k terms below (p-1)(2^16-1), so every partial
@@ -145,19 +147,21 @@ def _sub_product(c: np.ndarray, l: np.ndarray, u: np.ndarray, p: int) -> None:
     bound this raises instead of rounding.  The high-limb product is reduced
     and shifted (below 2^48), the low-limb one is subtracted raw (below 2^53),
     and the block is reduced once.  The rows of c go in blocks of
-    _BLOCK_ROWS, so the float and int scratch stays that small."""
-    k = l.shape[1]
+    _BLOCK_ROWS per slice, so the float and int scratch stays that small."""
+    k = l.shape[-1]
     if k * (p - 1) * (2**_LIMB_BITS - 1) >= 2**53:
         raise OverflowError(f"a product of depth {k} mod {p} is not exact "
                             f"in float64")
     high = (u >> _LIMB_BITS).astype(np.float64)
     low = (u & (2**_LIMB_BITS - 1)).astype(np.float64)
-    fbuf = np.empty((min(_BLOCK_ROWS, len(c)), c.shape[1]))
+    rows = c.shape[-2]
+    fbuf = np.empty(c.shape[:-2] + (min(_BLOCK_ROWS, rows), c.shape[-1]))
     ibuf = np.empty(fbuf.shape, dtype=np.int64)
-    for lo in range(0, len(c), _BLOCK_ROWS):
-        block = c[lo:lo + _BLOCK_ROWS]
-        lf = l[lo:lo + _BLOCK_ROWS].astype(np.float64)
-        fprod, iprod = fbuf[:len(block)], ibuf[:len(block)]
+    for lo in range(0, rows, _BLOCK_ROWS):
+        block = c[..., lo:lo + _BLOCK_ROWS, :]
+        lf = l[..., lo:lo + _BLOCK_ROWS, :].astype(np.float64)
+        height = block.shape[-2]
+        fprod, iprod = fbuf[..., :height, :], ibuf[..., :height, :]
         np.matmul(lf, high, out=fprod)
         np.copyto(iprod, fprod, casting="unsafe")
         iprod %= p
@@ -244,6 +248,54 @@ def reduce_rows(gens: DenseMatrix, rows: DenseMatrix) -> tuple[int, DenseMatrix]
     pivots = _eliminate(stack, gens.field.p, gens.rows)
     free = sorted(set(range(stack.shape[1])) - set(pivots))
     return len(pivots), DenseMatrix(stack[gens.rows:, free], gens.field)
+
+
+def gauss_jordan(a: np.ndarray, p: int) -> np.ndarray:
+    """Gauss-Jordan elimination of every block of the residues a (b x r x c)
+    in place; returns the pivot column of each row (b x r), -1 for a row that
+    ends zero.  Row k, reduced by the pivot rows above it, is either zero
+    (dependent on them) or is scaled to a unit pivot at its first nonzero
+    column, which is then cleared in every other row of its block.  So the
+    pivot rows form a reduced echelon form up to their order, and each
+    block's pivot columns hold identity columns.  The steps run over all b
+    blocks at once; past step c, where the rank is reached, they stop as
+    soon as the rows left are zero."""
+    b, r, c = a.shape
+    pivots = np.zeros((b, r), dtype=np.int64)
+    every = np.arange(b)
+    for k in range(r):
+        if k >= c and not a[:, k:].any():
+            break
+        row = a[:, k]
+        col = (row != 0).argmax(axis=1)
+        pivots[:, k] = col
+        factors = a[every, :, col]
+        inverse = [pow(x, -1, p) if x else 0 for x in factors[:, k].tolist()]
+        unit = row * np.array(inverse, dtype=np.int64)[:, None] % p
+        # row i -= a_i[col] unit clears the column; row k -= (pivot - 1) unit
+        # leaves unit there, and a zero row k stays zero
+        factors[:, k] -= 1
+        a -= factors[:, :, None] * unit[:, None, :]
+        a %= p
+    pivots[~a.any(axis=2)] = -1
+    return pivots
+
+
+def reduce_modulo(stack: np.ndarray, echelon: np.ndarray, pivots: np.ndarray,
+                  p: int) -> None:
+    """Reduce each slice of the residues stack (b x N x c) modulo the row
+    space of the same slice of echelon (b x r x c), in place.  echelon comes
+    from gauss_jordan with the pivot columns pivots, so slice a becomes
+    stack[a] minus stack[a][:, pivots[a]] echelon[a], which vanishes on those
+    columns.  The product is one stacked _sub_product per chunk of depth that
+    it computes exactly, so r is not bounded."""
+    if not stack.size:
+        return
+    # a row with pivot -1 is zero, so the column it picks into lead adds nothing
+    lead = np.take_along_axis(stack, pivots[:, None, :], axis=2)  # b x N x r
+    exact = (2**53 - 1) // ((p - 1) * (2**_LIMB_BITS - 1))
+    for k0 in range(0, echelon.shape[1], exact):
+        _sub_product(stack, lead[..., k0:k0 + exact], echelon[:, k0:k0 + exact], p)
 
 
 def det(m: DenseMatrix) -> int:

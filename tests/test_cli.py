@@ -177,6 +177,22 @@ def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
     (("certify", "Q", "--m", "1", "--n", "3", "--prime", "5"), 1,
      "secantdim: error:"),
     (("strassen", "--k", "1", "--s", "-1"), 64, "--s must be >= 0"),
+    (("dim", "--m", "1", "--n", "1", "--s", "-1"), 64,
+     "argument --s: must be at least 0, got -1"),
+    (("dim", "--m", "-1", "--n", "1", "--s", "1"), 64,
+     "argument --m: must be at least 0, got -1"),
+    (("dim", "--m", "1", "--n", "-2", "--s", "1"), 64,
+     "argument --n: must be at least 0, got -2"),
+    (("dim", "--m", "1", "--n", "1", "--s", "1", "--t", "-1"), 64,
+     "argument --t: must be at least 0, got -1"),
+    (("prove", "--m", "1", "--n", "1", "--s", "-3"), 64,
+     "argument --s: must be at least 0, got -3"),
+    (("prove", "--m", "-1", "--n", "2", "--s", "1", "--t", "1"), 64,
+     "argument --m: must be at least 0, got -1"),
+    (("scan", "--max-m", "-1", "--max-n", "2"), 64,
+     "argument --max-m: must be at least 0, got -1"),
+    (("scan", "--max-m", "2", "--max-n", "-1"), 64,
+     "argument --max-n: must be at least 0, got -1"),
 ])
 def test_bad_values_exit_with_a_message(capsys, argv, code, message):
     got, _, err = run(capsys, *argv)

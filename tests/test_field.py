@@ -7,8 +7,8 @@ import pytest
 
 from secantdim.field import (PRIMARY_PRIME, SECONDARY_PRIME, DenseMatrix,
                              PrimeField, SeededRng, _eliminate, _sub_product,
-                             derive_seed, det, pfaffian, rank, reduce_rows,
-                             vstack)
+                             derive_seed, det, gauss_jordan, pfaffian, rank,
+                             reduce_modulo, reduce_rows, vstack)
 
 F = PrimeField(PRIMARY_PRIME)
 
@@ -385,3 +385,83 @@ def test_derive_seed_separates_parts():
     # concatenation must not collide: (1, 23) vs (12, 3)
     assert derive_seed(0, 1, 23) != derive_seed(0, 12, 3)
     assert derive_seed(0, "ab") != derive_seed(0, "a", "b")
+
+
+# -- the stacked kernels of the rank oracle's change of basis -----------------
+
+def _blocks(rng, p, r, c):
+    """Blocks of r x c residues: random, all p - 1, near p - 1, of rank at
+    most 2, and zero."""
+    low = rng.integers(0, 4, size=(r, 2)) @ rng.integers(0, p, size=(2, c)) % p
+    return np.array([rng.integers(0, p, size=(r, c)),
+                     np.full((r, c), p - 1, dtype=np.int64),
+                     p - 1 - rng.integers(0, 3, size=(r, c)),
+                     low, np.zeros((r, c), dtype=np.int64)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [PRIMARY_PRIME, TOP.p])
+def test_stacked_gauss_jordan_matches_python_ints(p):
+    rng = np.random.default_rng(p % 983)
+    for r, c in ((4, 7), (7, 4), (6, 6), (1, 5), (3, 1), (3, 0), (0, 3)):
+        blocks = _blocks(rng, p, r, c)
+        got = blocks.copy()
+        pivots = gauss_jordan(got, p)
+        assert pivots.shape == (len(blocks), r)
+        for block, echelon, piv in zip(blocks, got, pivots):
+            want_rows, want_pivots = _py_echelon(block.tolist(), p)
+            order = sorted((col, i) for i, col in enumerate(piv) if col >= 0)
+            assert [col for col, _ in order] == want_pivots, (r, c)
+            assert [echelon[i].tolist() for _, i in order] == want_rows
+            assert not echelon[piv < 0].any()
+
+
+@pytest.mark.parametrize("p", [PRIMARY_PRIME, TOP.p])
+def test_stacked_sub_product_matches_python_ints(p):
+    # depth 45 is the deepest exact product at TOP; 70 rows span two row blocks
+    rng = np.random.default_rng(p % 977)
+    for r, k, s in ((70, 45, 5), (3, 1, 4), (2, 0, 3)):
+        c, l, u = (np.concatenate([rng.integers(0, p, size=(2,) + shape),
+                                   np.full((1,) + shape, p - 1)])
+                   for shape in ((r, s), (r, k), (k, s)))
+        got = c.copy()
+        _sub_product(got, l, u, p)
+        for cs, ls, us, gs in zip(c, l, u, got):
+            want = [[(cs[i, j].item() - sum(ls[i, t].item() * us[t, j].item()
+                                             for t in range(k))) % p
+                     for j in range(s)] for i in range(r)]
+            assert gs.tolist() == want, (r, k, s)
+
+
+@pytest.mark.parametrize("p", [PRIMARY_PRIME, TOP.p])
+def test_reduce_modulo_matches_python_ints(p, monkeypatch):
+    # echelon blocks of 50 rows: past depth 45 at TOP, so the product there
+    # runs in two chunks
+    depths = []
+    sub_product = _sub_product
+
+    def recording(c, l, u, p):
+        depths.append(l.shape[-1])
+        sub_product(c, l, u, p)
+
+    monkeypatch.setattr("secantdim.field._sub_product", recording)
+    rng = np.random.default_rng(p % 971)
+    for r, c, rows in ((50, 60, 7), (4, 9, 3)):
+        blocks = _blocks(rng, p, r, c)
+        echelon = blocks.copy()
+        pivots = gauss_jordan(echelon, p)
+        stack = np.array([rng.integers(0, p, size=(rows, c))
+                          for _ in blocks])
+        stack[:, 0] = p - 1
+        got = stack.copy()
+        depths.clear()
+        reduce_modulo(got, echelon, pivots, p)
+        exact = 45 if p == TOP.p else 64
+        assert depths == [min(exact, r - k0) for k0 in range(0, r, exact)]
+        for block, xs, gs in zip(blocks, stack, got):
+            basis, cols = _py_echelon(block.tolist(), p)
+            want = []
+            for x in xs.tolist():
+                for b, col in zip(basis, cols):
+                    x = [(xi - x[col] * bi) % p for xi, bi in zip(x, b)]
+                want.append(x)
+            assert gs.tolist() == want, (r, c)
