@@ -353,9 +353,9 @@ def _u_rank(points, p):
 
 
 def _with_dependent_u(points, m, p):
-    """The same points with the u of the last m+1 made dependent: the last
-    repeats the one before it, the last scaled copy of another, or every u in
-    the hyperplane u_0 = u_1 (m >= 1)."""
+    """The same points with dependent u: the last repeats the one before
+    it, the last is a multiple of the first, or every u lies in the
+    hyperplane u_0 = u_1 (m >= 1)."""
     last, before = points[-1], points[-2]
     yield points[:-1] + [Point(before.u, last.v)]
     yield points[:-1] + [Point(tuple(5 * x % p for x in points[0].u), last.v)]
