@@ -56,9 +56,17 @@ def _int_at_least(low: int):
     return parse
 
 
-# counts (--trials, --jobs) start at 1; dimensions and point counts at 0
+# counts (--trials, --jobs, strassen --k) and the degree --d start at 1;
+# dimensions and point counts at 0
 _count = _int_at_least(1)
 _natural = _int_at_least(0)
+
+# certificate name -> (required parameters, certificate function)
+_CERTS = {"Q": (("m", "n"), certify_Q),
+          "Runder": (("m", "n"), certify_R_under),
+          "Rover": (("m", "n"), certify_R_over),
+          "R2n": (("n",), certify_R2n),
+          "witnessRmm": (("m",), witness_Rmm)}
 
 
 def build_parser() -> _Parser:
@@ -77,13 +85,13 @@ def build_parser() -> _Parser:
     statement = argparse.ArgumentParser(add_help=False, parents=[trials])
     statement.add_argument("--m", type=_natural, required=True)
     statement.add_argument("--n", type=_natural, required=True)
-    statement.add_argument("--d", type=int, default=2)
+    statement.add_argument("--d", type=_count, default=2)
     statement.add_argument("--s", type=_natural, required=True)
     statement.add_argument("--t", type=_natural, default=0)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("dim", parents=[statement], help="measure one statement")
+    p = sub.add_parser("dim", parents=[statement], help="measure one statement")
+    p.set_defaults(handler=cmd_dim)
 
     p = sub.add_parser("scan", parents=[trials],
                        help="sweep a grid for defective secant varieties")
@@ -92,23 +100,32 @@ def build_parser() -> _Parser:
     p.add_argument("--cache", type=str, default=None)
     p.add_argument("--jobs", type=_count, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.set_defaults(handler=cmd_scan)
 
-    # None unless given, so each certificate keeps its own defaults
-    p = sub.add_parser("certify", parents=[common],
-                       help="run one named certificate")
-    p.add_argument("name", type=str)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=_count, default=None)
+    # --prime and --out go on each certificate, after its name: on `certify`
+    # itself a certificate's default would override them
+    p = sub.add_parser("certify", help="run one named certificate")
+    p.set_defaults(handler=cmd_certify)
+    certs = p.add_subparsers(dest="name", required=True)
+    for name, (required, cert) in _CERTS.items():
+        c = certs.add_parser(name, parents=[common],
+                             help=f"{name}({', '.join(required)})")
+        for param in required:
+            c.add_argument(f"--{param}", type=int, required=True)
+        if cert is not witness_Rmm:
+            # None unless given, so each certificate keeps its own defaults
+            c.add_argument("--seed", type=int, default=None)
+            c.add_argument("--trials", type=_count, default=None)
 
-    sub.add_parser("prove", parents=[statement],
-                   help="search for an inductive proof")
+    p = sub.add_parser("prove", parents=[statement],
+                       help="search for an inductive proof")
+    p.set_defaults(handler=cmd_prove)
 
     p = sub.add_parser("strassen", parents=[seeded],
                        help="skew-matrix rank/Pfaffian for a (1,2) tensor")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, default=None)
+    p.add_argument("--k", type=_count, required=True)
+    p.add_argument("--s", type=_natural, default=None)
+    p.set_defaults(handler=cmd_strassen)
 
     return parser
 
@@ -141,33 +158,9 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-# certificate name -> (required parameters, certificate function)
-_CERTS = {"Q": (("m", "n"), certify_Q),
-          "Runder": (("m", "n"), certify_R_under),
-          "Rover": (("m", "n"), certify_R_over),
-          "R2n": (("n",), certify_R2n),
-          "witnessRmm": (("m",), witness_Rmm)}
-
-
 def cmd_certify(args) -> int:
     name = args.name
-    if name not in _CERTS:
-        print(f"secantdim certify: unknown certificate {name!r}", file=sys.stderr)
-        return EXIT_USAGE
     required, cert = _CERTS[name]
-    missing = [p for p in required if getattr(args, p) is None]
-    if missing:
-        flags = ", ".join(f"--{p}" for p in missing)
-        print(f"secantdim certify {name}: missing {flags}", file=sys.stderr)
-        return EXIT_USAGE
-    takes = required if cert is witness_Rmm else required + ("seed", "trials")
-    unused = [p for p in ("m", "n", "seed", "trials") if p not in takes
-              and getattr(args, p) is not None]
-    if unused:
-        flags = ", ".join(f"--{p}" for p in unused)
-        print(f"secantdim certify {name}: {name} takes no {flags}",
-              file=sys.stderr)
-        return EXIT_USAGE
     params = {p: getattr(args, p) for p in required}
     field = PrimeField(args.prime)
     if cert is witness_Rmm:
@@ -200,12 +193,6 @@ def cmd_prove(args) -> int:
 
 
 def cmd_strassen(args) -> int:
-    if args.k < 1:
-        print("secantdim strassen: --k must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.s is not None and args.s < 0:
-        print("secantdim strassen: --s must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
     field = PrimeField(args.prime)
     order = 3 * (2 * args.k + 2)
     if args.s is None:
@@ -239,10 +226,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    handlers = {"dim": cmd_dim, "scan": cmd_scan, "certify": cmd_certify,
-                "prove": cmd_prove, "strassen": cmd_strassen}
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except OSError as exc:
         print(f"secantdim: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -22,8 +22,10 @@ measurement the group made), in whole milliseconds.
 
 Records are emitted in a fixed key order so that JSON-lines and CSV output
 carry identical content.  An optional append-only cache keyed by
-(statement, seed, prime) gets each record, flushed, as soon as its (m, n)
-group is done, so an interrupted scan resumes where it stopped.
+(statement, seed, prime, trials) gets each record, flushed, as soon as its
+(m, n) group is done, so an interrupted scan resumes where it stopped.  A
+cache line also carries the `trials` it was measured with, which is not a
+record field; a line without it is not reused.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from .field import PRIMARY_PRIME, PrimeField
 
 RECORD_FIELDS = ("m", "n", "d", "s", "t", "expected", "rank", "defect",
                  "abundance", "conjecture", "agree", "seed", "prime", "ms")
+# a cache line is a record and the trials it was measured with
+_CACHE_FIELDS = RECORD_FIELDS + ("trials",)
 
 
 def s_values(m: int, n: int) -> range:
@@ -106,13 +110,16 @@ def _scan_group(task: tuple) -> list[dict]:
 
 
 def cache_key(rec: dict) -> str:
-    return ",".join(str(rec[k]) for k in ("m", "n", "d", "s", "t", "seed", "prime"))
+    return ",".join(str(rec[k]) for k in
+                    ("m", "n", "d", "s", "t", "seed", "prime", "trials"))
 
 
 def load_cache(path: str) -> dict[str, dict]:
-    """Cached records by cache_key.  An unparsable last line is the torn tail
-    of an interrupted write and is skipped with a note on stderr; a bad line
-    anywhere else, or a line that is not a record, raises ValueError."""
+    """Cached records by cache_key, each with the fields RECORD_FIELDS.  An
+    unparsable last line is the torn tail of an interrupted write and is
+    skipped with a note on stderr; a bad line anywhere else, or a line that
+    is not a record, raises ValueError.  A record without `trials` (written
+    before the cache recorded it) is skipped: its trials are unknown."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [(no, line) for no, line in enumerate(fh.read().splitlines(), 1)
@@ -131,7 +138,8 @@ def load_cache(path: str) -> dict[str, dict]:
             break
         if not isinstance(rec, dict) or not rec.keys() >= set(RECORD_FIELDS):
             raise ValueError(f"{path} line {no}: not a scan record")
-        out[cache_key(rec)] = rec
+        if "trials" in rec:
+            out[cache_key(rec)] = {k: rec[k] for k in RECORD_FIELDS}
     return out
 
 
@@ -150,7 +158,7 @@ def run_scan(max_m: int, max_n: int, seed: int = 0, prime: int = PRIMARY_PRIME,
             todo, known = [], {}
             for s in s_values(m, n):
                 key = cache_key({"m": m, "n": n, "d": 2, "s": s, "t": 0,
-                                 "seed": seed, "prime": prime})
+                                 "seed": seed, "prime": prime, "trials": trials})
                 if key in cached:
                     records[(m, n, s)] = known[s] = cached[key]
                 else:
@@ -172,14 +180,15 @@ def run_scan(max_m: int, max_n: int, seed: int = 0, prime: int = PRIMARY_PRIME,
         for group in fresh:  # grid order: written once it and all before it are done
             for rec in group:
                 if out is not None:
-                    out.write(record_to_json(rec) + "\n")
+                    out.write(record_to_json(dict(rec, trials=trials),
+                                             _CACHE_FIELDS) + "\n")
                     out.flush()
                 records[(rec["m"], rec["n"], rec["s"])] = rec
     return [records[k] for k in sorted(records)]
 
 
-def record_to_json(rec: dict) -> str:
-    ordered = {k: rec[k] for k in RECORD_FIELDS}
+def record_to_json(rec: dict, fields: tuple = RECORD_FIELDS) -> str:
+    ordered = {k: rec[k] for k in fields}
     return json.dumps(ordered, separators=(", ", ": "))
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -50,7 +51,7 @@ def test_certify_known_and_unknown(capsys):
     assert json.loads(out)["outcome"] == "true"
 
     code, _, err = run(capsys, "certify", "bogus", "--m", "1")
-    assert code == 64 and "unknown certificate" in err
+    assert code == 64 and "argument name: invalid choice: 'bogus'" in err
 
     code, _, err = run(capsys, "certify", "Q", "--m", "2")
     assert code == 64 and "--n" in err
@@ -87,6 +88,19 @@ def test_certify_passes_seed_and_trials_only_when_given(capsys, monkeypatch):
 
     code, _, err = run(capsys, "certify", "witnessRmm", "--m", "3", "--seed", "5")
     assert code == 64 and "--seed" in err
+
+
+@pytest.mark.parametrize("name", list(cli._CERTS))
+def test_certify_help_lists_exactly_the_flags_a_certificate_takes(capsys, name):
+    code, out, _ = run(capsys, "certify", "--help")
+    assert code == 0 and name in out
+    code, out, _ = run(capsys, "certify", name, "--help")
+    assert code == 0
+    required, cert = cli._CERTS[name]
+    seeded = cert is not cli.witness_Rmm
+    for flag, takes in (("m", "m" in required), ("n", "n" in required),
+                        ("seed", seeded), ("trials", seeded)):
+        assert (re.search(rf"--{flag}\b", out) is not None) == takes, flag
 
 
 def test_prove_tree_and_unknown(capsys):
@@ -165,18 +179,21 @@ def test_scan_jobs_matches_serial(capsys):
     ("certify", "witnessRmm", "--m", "3", "--n", "9"),
     ("certify", "witnessRmm", "--m", "3", "--seed", "5"),
     ("certify", "witnessRmm", "--m", "3", "--trials", "2"),
+    # before the name --prime would be overridden by the certificate's default
+    ("certify", "--prime", "2147483659", "Q", "--m", "2", "--n", "4"),
 ])
 def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
     assert run(capsys, *argv)[0] == 64
 
 
 @pytest.mark.parametrize("argv, code, message", [
-    (("strassen", "--k", "0"), 64, "--k must be >= 1"),
+    (("strassen", "--k", "0"), 64, "argument --k: must be at least 1, got 0"),
     (("dim", "--m", "1", "--n", "1", "--s", "1", "--trials", "x"), 64,
      "invalid int value"),
     (("certify", "Q", "--m", "1", "--n", "3", "--prime", "5"), 1,
      "secantdim: error:"),
-    (("strassen", "--k", "1", "--s", "-1"), 64, "--s must be >= 0"),
+    (("strassen", "--k", "1", "--s", "-1"), 64,
+     "argument --s: must be at least 0, got -1"),
     (("dim", "--m", "1", "--n", "1", "--s", "-1"), 64,
      "argument --s: must be at least 0, got -1"),
     (("dim", "--m", "-1", "--n", "1", "--s", "1"), 64,
@@ -193,6 +210,10 @@ def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
      "argument --max-m: must be at least 0, got -1"),
     (("scan", "--max-m", "2", "--max-n", "-1"), 64,
      "argument --max-n: must be at least 0, got -1"),
+    (("dim", "--m", "1", "--n", "1", "--s", "1", "--d", "0"), 64,
+     "argument --d: must be at least 1, got 0"),
+    (("prove", "--m", "1", "--n", "1", "--s", "1", "--d", "-1"), 64,
+     "argument --d: must be at least 1, got -1"),
 ])
 def test_bad_values_exit_with_a_message(capsys, argv, code, message):
     got, _, err = run(capsys, *argv)

@@ -155,6 +155,39 @@ def test_cache_resume(tmp_path):
         assert cached["rank"] == rec["rank"] and cached["seed"] == rec["seed"]
 
 
+def test_cache_is_keyed_by_trials(tmp_path, monkeypatch):
+    cache = tmp_path / "cells.jsonl"
+    first = run_scan(2, 2, seed=0, trials=1, cache_path=str(cache))
+    lines = cache.read_text().splitlines()
+    assert [json.loads(x)["trials"] for x in lines] == [1] * len(first)
+    # cached records carry the record fields only
+    assert all(tuple(rec) == RECORD_FIELDS
+               for rec in load_cache(str(cache)).values())
+    calls = []
+    measure = scan.evaluate_cell
+
+    def counting(m, n, s, *args):
+        calls.append((m, n, s))
+        return measure(m, n, s, *args)
+
+    monkeypatch.setattr(scan, "evaluate_cell", counting)
+    # a scan with other trials measures its cells again and appends them
+    resumed = run_scan(2, 2, seed=0, trials=3, cache_path=str(cache))
+    assert calls and len(cache.read_text().splitlines()) == 2 * len(lines)
+    assert _without_ms(resumed) == _without_ms(first)
+    calls.clear()
+    assert _without_ms(run_scan(2, 2, seed=0, trials=3,
+                                cache_path=str(cache))) == _without_ms(first)
+    assert calls == []
+    # a line written before the cache recorded trials is not reused
+    old = [json.dumps({k: v for k, v in json.loads(x).items() if k != "trials"})
+           for x in lines]
+    cache.write_text("".join(x + "\n" for x in old))
+    assert load_cache(str(cache)) == {}
+    run_scan(2, 2, seed=0, trials=1, cache_path=str(cache))
+    assert len(calls) > 0 and len(load_cache(str(cache))) == len(first)
+
+
 def _without_ms(records):
     return [dict(r, ms=0) for r in records]
 
