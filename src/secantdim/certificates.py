@@ -143,11 +143,11 @@ def _span_rank(m: int, n: int, d: int, field: PrimeField,
     keep = ~on_window
     tan = np.array([mat.array for mat in tangents], dtype=np.int64)
     tan = tan.reshape(len(points), n + 2, nmon)[:, :, keep]  # points may be empty
-    gens = [tan[:, 0]] + [mat.array[:, keep] for mat in slices]
-    dim_y, rest = reduce_rows(DenseMatrix(np.vstack(gens), field),
-                              DenseMatrix(tan[:, 1:].reshape(-1, tan.shape[2]), field))
-    dim_y += int(on_window.sum())
     p = field.p
+    gens = [tan[:, 0]] + [mat.array[:, keep] for mat in slices]
+    dim_y, rest = reduce_rows(np.vstack(gens),
+                              tan[:, 1:].reshape(-1, tan.shape[2]), p)
+    dim_y += int(on_window.sum())
     # Gauss-Jordan on u^T with the points last to first: the pivot columns
     # are the basis points a, and column i then holds u_i's coordinates c_ia
     coords = np.array([pt.u for pt in reversed(points)],
@@ -155,18 +155,19 @@ def _span_rank(m: int, n: int, d: int, field: PrimeField,
     picked = gauss_jordan(coords[None], p)[0]
     basis = len(points) - 1 - picked[picked >= 0]
     coords = coords[picked >= 0, ::-1]
-    blocks = rest.array.reshape(len(points), n + 1, rest.cols)[basis]
+    blocks = rest.reshape(len(points), n + 1, rest.shape[1])[basis]
     pivots = gauss_jordan(blocks, p)
     others = np.ones(len(points), dtype=bool)
     others[basis] = False
-    rows = rest.array[np.repeat(others, n + 1)]
+    rows = rest[np.repeat(others, n + 1)]
     live = rows.any(axis=1)
     # c_ia reduced mod p, so every product stays below p^2 < 2^63
     stack = np.repeat(coords[:, others], n + 1, axis=1)[:, live, None] * rows[live]
     stack %= p
     reduce_modulo(stack, blocks, pivots, p)
     # block a's pivot columns are zero now, and go with the other zero columns
-    mat = stack.transpose(1, 0, 2).reshape(stack.shape[1], len(basis) * rest.cols)
+    mat = stack.transpose(1, 0, 2).reshape(stack.shape[1],
+                                           len(basis) * rest.shape[1])
     mat = mat[:, mat.any(axis=0)]
     mat = mat[mat.any(axis=1)]
     return ((m + 1) * dim_y + int((pivots >= 0).sum())

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .bounds import Statement
 from .certificates import (OUTCOME_DEFICIENT, OUTCOME_TRUE, certify_Q,
@@ -61,6 +62,15 @@ def _int_at_least(low: int):
 _count = _int_at_least(1)
 _natural = _int_at_least(0)
 
+
+def _prime(text: str) -> int:
+    """The type of --prime: a modulus PrimeField accepts."""
+    try:
+        return PrimeField(_natural(text)).p
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 # certificate name -> (required parameters, certificate function)
 _CERTS = {"Q": (("m", "n"), certify_Q),
           "Runder": (("m", "n"), certify_R_under),
@@ -74,7 +84,7 @@ def build_parser() -> _Parser:
                      description="dimension certificates for secant varieties "
                                  "of P^m x P^n in bidegree (1, d)")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=int, default=PRIMARY_PRIME)
+    common.add_argument("--prime", type=_prime, default=PRIMARY_PRIME)
     common.add_argument("--out", type=str, default=None)
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
     seeded.add_argument("--seed", type=int, default=0)
@@ -184,9 +194,8 @@ def cmd_prove(args) -> int:
     prover = Prover(seed=args.seed, trials=args.trials, field=field)
     node = prover.prove(st)
     if node is None:
-        _emit(json.dumps({"statement": {"m": st.m, "n": st.n, "d": st.d,
-                                        "s": st.s, "t": st.t},
-                          "outcome": UNKNOWN}) + "\n", args.out)
+        _emit(json.dumps({"statement": asdict(st), "outcome": UNKNOWN}) + "\n",
+              args.out)
         return EXIT_UNKNOWN
     _emit(proof_to_json(node) + "\n", args.out)
     return EXIT_OK

@@ -7,8 +7,16 @@ specialization is at most the generic rank, so hitting the expected value is
 a proof, while a shortfall is strong evidence that is cross-checked over a
 second prime.
 
-Entries are canonical residues in [0, p) held in int64 arrays.  Two
-elimination kernels do the work:
+Entries are canonical residues in [0, p) held in int64 arrays, under one of
+two calling conventions:
+
+* ``rank``, ``det`` and ``pfaffian`` take a ``DenseMatrix`` and reduce their
+  own copy of its array mod p;
+* the rank oracle's reductions, ``reduce_rows``, ``gauss_jordan`` and
+  ``reduce_modulo``, take int64 arrays that already hold residues, and the
+  modulus p, and return or update arrays.
+
+Two elimination kernels do the work:
 
 * ``_eliminate``, forward elimination with row pivoting in panels, gives
   ``rank``, ``det`` and ``reduce_rows`` (rows reduced modulo the row space
@@ -57,7 +65,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -140,19 +147,6 @@ class DenseMatrix:
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols} mod {self.field.p})"
-
-
-def vstack(mats: Sequence[DenseMatrix]) -> DenseMatrix:
-    """Stack matrices with equal column counts over the same field."""
-    if not mats:
-        raise ValueError("nothing to stack")
-    field = mats[0].field
-    for m in mats:
-        if m.field.p != field.p:
-            raise ValueError("field mismatch in stack")
-        if m.cols != mats[0].cols:
-            raise ValueError("column count mismatch in stack")
-    return DenseMatrix(np.vstack([m.array for m in mats]), field)
 
 
 def _sub_product(c: np.ndarray, l: np.ndarray, u: np.ndarray, p: int) -> None:
@@ -258,15 +252,16 @@ def rank(m: DenseMatrix) -> int:
     return len(_eliminate(a, m.field.p, len(a)))
 
 
-def reduce_rows(gens: DenseMatrix, rows: DenseMatrix) -> tuple[int, DenseMatrix]:
-    """dim Y and rows reduced modulo the row space Y of gens, restricted to
-    the non-pivot columns of Y: their rank is dim(Y + rowspace(rows)) - dim Y.
-    Eliminating gens stacked over rows, pivoting in gens only, leaves each row
-    the unique representative of its class mod Y vanishing on Y's pivots."""
-    stack = vstack([gens, rows]).array
-    pivots = _eliminate(stack, gens.field.p, gens.rows)
+def reduce_rows(gens: np.ndarray, rows: np.ndarray, p: int) -> tuple[int, np.ndarray]:
+    """dim Y and the residues rows reduced modulo the row space Y of the
+    residues gens, restricted to the non-pivot columns of Y: their rank is
+    dim(Y + rowspace(rows)) - dim Y.  Eliminating gens stacked over rows,
+    pivoting in gens only, leaves each row the unique representative of its
+    class mod Y vanishing on Y's pivots."""
+    stack = np.concatenate((gens, rows))
+    pivots = _eliminate(stack, p, len(gens))
     free = sorted(set(range(stack.shape[1])) - set(pivots))
-    return len(pivots), DenseMatrix(stack[gens.rows:, free], gens.field)
+    return len(pivots), stack[len(gens):, free]
 
 
 def gauss_jordan(a: np.ndarray, p: int) -> np.ndarray:

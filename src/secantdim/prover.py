@@ -52,7 +52,7 @@ from __future__ import annotations
 import bisect
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .bounds import (Abundance, Statement, classify, expected_dim,
                      is_subabundant, is_superabundant, m0_rank, s_over,
@@ -61,8 +61,6 @@ from .certificates import (OUTCOME_TRUE, certify_R_over, certify_R_under,
                            eval_statement)
 from .field import PrimeField, derive_seed
 
-PROVED = "proved"
-DEFICIENT_EVIDENCE = "deficient-evidence"
 UNKNOWN = "unknown"
 
 # Statements one prove() call may visit before it gives up as unknown.
@@ -84,9 +82,8 @@ class ProofNode:
 
 
 def proof_to_dict(node: ProofNode) -> dict:
-    st = node.statement
     return {
-        "statement": {"m": st.m, "n": st.n, "d": st.d, "s": st.s, "t": st.t},
+        "statement": asdict(node.statement),
         "rule": node.rule,
         "children": [proof_to_dict(c) for c in node.children],
     }
@@ -96,31 +93,30 @@ def proof_to_json(node: ProofNode) -> str:
     return json.dumps(proof_to_dict(node), indent=2)
 
 
-@dataclass
-class StoreEntry:
-    status: str
-    node: ProofNode | None = None
-
-
 class StatementStore:
-    """Memo of settled statements, shared across prover queries."""
+    """Memo of settled statements, shared across prover queries: each key
+    maps to its first proof, or to None for deficiency evidence."""
 
     def __init__(self) -> None:
-        self._entries: dict[tuple, StoreEntry] = {}
+        self._entries: dict[tuple, ProofNode | None] = {}
         self._families: dict[tuple, list[tuple]] = {}
 
-    def get(self, st: Statement) -> StoreEntry | None:
+    def proof(self, st: Statement) -> ProofNode | None:
         return self._entries.get(st.key)
 
-    def put(self, st: Statement, entry: StoreEntry) -> None:
-        current = self._entries.get(st.key)
-        if current is not None and current.status == PROVED:
+    def deficient(self, st: Statement) -> bool:
+        return st.key in self._entries and self._entries[st.key] is None
+
+    def put(self, st: Statement, node: ProofNode | None) -> None:
+        """Record node as st's proof, or None as deficiency evidence; a
+        proof, once recorded, is never replaced."""
+        if self._entries.get(st.key) is not None:
             return
-        self._entries[st.key] = entry
-        if entry.status == PROVED:  # once per key: no (s, t) ties in a family
+        self._entries[st.key] = node
+        if node is not None:  # once per key: no (s, t) ties in a family
             bisect.insort(self._families.setdefault((st.m, st.n, st.d), []),
                           (st.s, st.t, is_subabundant(st), is_superabundant(st),
-                           entry.node))
+                           node))
 
     def family(self, st: Statement) -> list[tuple]:
         """Proved statements with st's (m, n, d), in (s, t) order."""
@@ -179,9 +175,9 @@ class Prover:
     # -- search --------------------------------------------------------------
 
     def _prove(self, st: Statement, anchors: bool) -> ProofNode | None:
-        entry = self.store.get(st)
-        if entry is not None and entry.status == PROVED:
-            return entry.node
+        node = self.store.proof(st)
+        if node is not None:
+            return node
         if self._visited >= MAX_VISITED:
             return None
         self._visited += 1
@@ -202,13 +198,13 @@ class Prover:
         return self._rank_leaf(st)
 
     def _record(self, st: Statement, node: ProofNode) -> ProofNode:
-        self.store.put(st, StoreEntry(PROVED, node))
+        self.store.put(st, node)
         return node
 
     def _m0_base(self, st: Statement) -> ProofNode | None:
         if _m0_truth(st):
             return self._record(st, ProofNode(st, "base_AH"))
-        self.store.put(st, StoreEntry(DEFICIENT_EVIDENCE))
+        self.store.put(st, None)
         return None
 
     def _monotone_from_store(self, st: Statement) -> ProofNode | None:
@@ -278,9 +274,9 @@ class Prover:
             return None
         under = kind == "Runder"
         st = Statement(m, n, 2, s_under(m, n) if under else s_over(m, n), 0)
-        entry = self.store.get(st)
-        if entry is not None and entry.status == PROVED:
-            return entry.node
+        node = self.store.proof(st)
+        if node is not None:
+            return node
         if (n <= m - 1) if under else (n <= 1 or (m, n) == (2, 2)):
             return self._prove(st, anchors=False)
         # chosen per call: bench/tracing.py patches these module names
@@ -298,14 +294,13 @@ class Prover:
     # -- rank certificate leaves ----------------------------------------------
 
     def _rank_leaf(self, st: Statement) -> ProofNode | None:
-        entry = self.store.get(st)
-        if entry is not None and entry.status == DEFICIENT_EVIDENCE:
+        if self.store.deficient(st):
             return None
         verdict = eval_statement(st, _cert_seed(self.seed, "rank", *st.key),
                                  self.trials, self.field)
         if verdict.outcome == OUTCOME_TRUE:
             return self._record(st, ProofNode(st, "base_rank_certificate"))
-        self.store.put(st, StoreEntry(DEFICIENT_EVIDENCE))
+        self.store.put(st, None)
         return None
 
 

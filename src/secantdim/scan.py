@@ -38,7 +38,7 @@ import time
 from contextlib import ExitStack
 
 from .bounds import (Statement, ambient_dim, classify, conjecture_verdict,
-                     expected_dim, unbalanced_expected_dim)
+                     expected_dim, q_bound, unbalanced_expected_dim)
 from .certificates import eval_statement_checked
 from .field import PRIMARY_PRIME, PrimeField
 
@@ -91,7 +91,7 @@ def _scan_group(task: tuple) -> list[dict]:
             measured[s] = evaluate_cell(m, n, s, seed, prime, trials)
         return measured[s]["defect"] > 0
 
-    s, top = ambient_dim(m, n, 2) // (m + n + 1), max(s_values(m, n))
+    s, top = q_bound(m, n), max(s_values(m, n))
     while short(s) and s > 1:
         s -= 1
     s = top - 1  # ceil(N / (m+n+1))

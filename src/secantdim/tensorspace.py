@@ -120,16 +120,10 @@ def _power_tables(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return variables, coeffs
 
 
-def power_row(v: Sequence[int], basis: MonomialBasis, p: int) -> np.ndarray:
-    """Coefficients of v^d in the basis: multinomial(mu) * v^mu mod p.
-    Every product is of two residues, so it stays below p^2 < 2^63."""
-    if len(v) != basis.n + 1:
-        raise ValueError("vector and exponent lengths differ")
-    return _power(np.array(v, dtype=np.int64) % p, basis.n, basis.d, p)
-
-
 def _power(vals: np.ndarray, n: int, d: int, p: int) -> np.ndarray:
-    """power_row of the residues vals."""
+    """Coefficients of v^d for the residues vals of v, in the monomial
+    basis: multinomial(mu) * v^mu mod p.  Every product is of two residues,
+    so it stays below p^2 < 2^63."""
     variables, coeffs = _power_tables(n, d)
     out = coeffs % p
     for var in variables:
@@ -215,7 +209,7 @@ def y_rows(point: Point, m: int, n: int, d: int, field: PrimeField) -> DenseMatr
     """Rows spanning V (x) v^d, the V-slice through the point."""
     if len(point.u) != m + 1 or len(point.v) != n + 1:
         raise ValueError("point has wrong factor lengths")
-    vd = power_row(point.v, monomial_basis(n, d), field.p)
+    vd = _power(np.array(point.v, dtype=np.int64) % field.p, n, d, field.p)
     return DenseMatrix(_slice_block(vd, m), field)
 
 

@@ -15,7 +15,7 @@ from secantdim.certificates import (OUTCOME_DEFICIENT, OUTCOME_TRUE, Verdict,
                                     eval_statement_checked, r_under_expected,
                                     witness_Rmm)
 from secantdim.field import (PRIMARY_PRIME, SECONDARY_PRIME, DenseMatrix,
-                             PrimeField, SeededRng, derive_seed, rank, vstack)
+                             PrimeField, SeededRng, derive_seed, rank)
 from secantdim.tensorspace import Point
 
 F = PrimeField(PRIMARY_PRIME)
@@ -309,7 +309,7 @@ def _full_stack(m, n, d, field, windows, points, ys):
             for w in windows]
     mats += [certificates.tangent_rows(pt, m, n, d, field) for pt in points]
     mats += [certificates.y_rows(y, m, n, d, field) for y in ys]
-    return vstack(mats)
+    return field.matrix(np.vstack([mat.array for mat in mats]))
 
 
 def test_quotient_rank_equals_full_stack_rank(monkeypatch):
@@ -408,9 +408,9 @@ def test_reduction_runs_on_the_w_parts_only(monkeypatch):
     shapes = []
     reduce_rows = certificates.reduce_rows
 
-    def record(gens, rows):
-        shapes.append((rows.rows, rows.cols))
-        return reduce_rows(gens, rows)
+    def record(gens, rows, p):
+        shapes.append(rows.shape)
+        return reduce_rows(gens, rows, p)
 
     monkeypatch.setattr(certificates, "reduce_rows", record)
     # R_over(4, 4) deletes the S_2 monomials of its 3-variable window

@@ -190,8 +190,8 @@ def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
     (("strassen", "--k", "0"), 64, "argument --k: must be at least 1, got 0"),
     (("dim", "--m", "1", "--n", "1", "--s", "1", "--trials", "x"), 64,
      "invalid int value"),
-    (("certify", "Q", "--m", "1", "--n", "3", "--prime", "5"), 1,
-     "secantdim: error:"),
+    (("certify", "Q", "--m", "1", "--n", "3", "--prime", "5"), 64,
+     "argument --prime: modulus 5 outside supported range"),
     (("strassen", "--k", "1", "--s", "-1"), 64,
      "argument --s: must be at least 0, got -1"),
     (("dim", "--m", "1", "--n", "1", "--s", "-1"), 64,
@@ -214,6 +214,13 @@ def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
      "argument --d: must be at least 1, got 0"),
     (("prove", "--m", "1", "--n", "1", "--s", "1", "--d", "-1"), 64,
      "argument --d: must be at least 1, got -1"),
+    # 2147483649 = 3 x 715827883 lies in the supported range
+    (("dim", "--m", "1", "--n", "1", "--s", "1", "--prime", "2147483649"), 64,
+     "argument --prime: modulus 2147483649 is not prime"),
+    (("scan", "--max-m", "1", "--max-n", "1", "--prime", "2147483649"), 64,
+     "argument --prime: modulus 2147483649 is not prime"),
+    (("strassen", "--k", "1", "--prime", "7"), 64,
+     "argument --prime: modulus 7 outside supported range"),
 ])
 def test_bad_values_exit_with_a_message(capsys, argv, code, message):
     got, _, err = run(capsys, *argv)

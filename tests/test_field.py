@@ -8,7 +8,7 @@ import pytest
 from secantdim.field import (PRIMARY_PRIME, SECONDARY_PRIME, DenseMatrix,
                              PrimeField, SeededRng, _eliminate, _sub_product,
                              derive_seed, det, gauss_jordan, pfaffian, rank,
-                             reduce_modulo, reduce_rows, vstack)
+                             reduce_modulo, reduce_rows)
 
 F = PrimeField(PRIMARY_PRIME)
 
@@ -57,7 +57,7 @@ def test_vstack_rank_additivity():
     rng = SeededRng(derive_seed(3, "vstack"), F)
     top = DenseMatrix(rng.elements((4, 10)), F)
     bottom = DenseMatrix(rng.elements((3, 10)), F)
-    stacked = vstack([top, bottom])
+    stacked = DenseMatrix(np.vstack([top.array, bottom.array]), F)
     assert stacked.rows == 7 and stacked.cols == 10
     assert rank(stacked) <= rank(top) + rank(bottom)
 
@@ -205,8 +205,7 @@ def test_top_prime_reduce_rows_matches_python_ints():
     for gens_shape, rows_shape in (((4, 10), (6, 10)), ((30, 70), (60, 70))):
         for gens in _top_matrices(rng, gens_shape):
             for rows in _top_matrices(rng, rows_shape):
-                dim_y, reduced = reduce_rows(DenseMatrix(gens, TOP),
-                                             DenseMatrix(rows, TOP))
+                dim_y, reduced = reduce_rows(gens, rows, p)
                 basis, pivots = _py_echelon(gens.tolist(), p)
                 want = []
                 for row in rows.tolist():
@@ -215,7 +214,7 @@ def test_top_prime_reduce_rows_matches_python_ints():
                     want.append([x for c, x in enumerate(row)
                                  if c not in pivots])
                 assert dim_y == len(pivots)
-                assert reduced.array.tolist() == want
+                assert reduced.tolist() == want
 
 
 def test_top_prime_product_depth_bound():
@@ -276,11 +275,10 @@ def test_blocked_kernel_matches_unblocked(p):
                 want = arr.copy()
                 want_pivots = _unblocked_eliminate(want, p, npiv)
                 # reduce_rows: generators are the first npiv rows
-                dim_y, reduced = reduce_rows(DenseMatrix(arr[:npiv], field),
-                                             DenseMatrix(arr[npiv:], field))
+                dim_y, reduced = reduce_rows(arr[:npiv], arr[npiv:], p)
                 free = [c for c in range(cols) if c not in want_pivots]
                 assert dim_y == len(want_pivots), (kind, rows, cols)
-                assert reduced.array.tolist() == want[npiv:, free].tolist()
+                assert reduced.tolist() == want[npiv:, free].tolist()
                 got = arr.copy()
                 assert _eliminate(got, p, npiv) == want_pivots, (kind, rows)
                 for i, col in enumerate(want_pivots):  # the echelon rows
@@ -345,20 +343,22 @@ def test_empty_shapes(p):
         assert rank(zeros(*shape)) == 0
     assert det(zeros(0, 0)) == 1
     for gens, rows in (((0, 0), (0, 0)), ((2, 0), (3, 0)), ((0, 4), (3, 4))):
-        dim_y, reduced = reduce_rows(zeros(*gens), zeros(*rows))
-        assert dim_y == 0 and reduced.array.shape == rows
+        dim_y, reduced = reduce_rows(zeros(*gens).array, zeros(*rows).array, p)
+        assert dim_y == 0 and reduced.shape == rows
 
 
 def test_reduce_rows_measures_the_quotient():
     rng = SeededRng(derive_seed(8, "reduce"), F)
-    gens = DenseMatrix(rng.elements((3, 7)), F)
-    rows = DenseMatrix(rng.elements((5, 7)), F)
-    dim_y, reduced = reduce_rows(gens, rows)
-    assert reduced.cols == 7 - dim_y
-    assert dim_y + rank(reduced) == rank(vstack([gens, rows]))
-    # rows already in Y reduce to zero
-    dim_y, reduced = reduce_rows(gens, gens)
-    assert dim_y == 3 and not reduced.array.any()
+    gens = rng.elements((3, 7))
+    rows = rng.elements((5, 7))
+    dim_y, reduced = reduce_rows(gens, rows, F.p)
+    assert reduced.shape == (5, 7 - dim_y)
+    assert dim_y + rank(F.matrix(reduced)) == rank(F.matrix(np.vstack([gens, rows])))
+    # rows already in Y reduce to zero, and the inputs are left as they were
+    before = gens.copy()
+    dim_y, reduced = reduce_rows(gens, gens, F.p)
+    assert dim_y == 3 and not reduced.any()
+    assert (gens == before).all()
 
 
 def test_seeded_rng_deterministic():

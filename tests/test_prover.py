@@ -12,8 +12,7 @@ import pytest
 from secantdim import prover as prover_module
 from secantdim.bounds import Statement, is_subabundant, is_superabundant
 from secantdim.certificates import OUTCOME_DEFICIENT, Verdict, eval_statement
-from secantdim.prover import (DEFICIENT_EVIDENCE, PROVED, ProofCheckError,
-                              ProofNode, Prover, StatementStore, StoreEntry,
+from secantdim.prover import (ProofCheckError, ProofNode, Prover, StatementStore,
                               check_proof, proof_to_dict, proof_to_json)
 from secantdim.scan import run_scan, s_values
 
@@ -72,7 +71,7 @@ def test_m0_superabundant_exception_is_base_ah(monkeypatch):
     assert node.rule == "base_AH" and not node.children
     check_proof(node, seed=0)
     assert prover.prove(Statement(0, 4, 3, 7, 0)) is None
-    assert prover.store.get(Statement(0, 4, 3, 7, 0)).status == DEFICIENT_EVIDENCE
+    assert prover.store.deficient(Statement(0, 4, 3, 7, 0))
 
 
 def test_check_proof_accepts_golden():
@@ -210,7 +209,26 @@ def test_store_keeps_first_proof():
     first = prover.prove(st)
     again = prover.prove(st)
     assert first is again  # second call is a store hit
-    assert store.get(st).status == PROVED
+    assert store.proof(st) is first and not store.deficient(st)
+
+
+def test_store_replaces_evidence_with_the_first_proof():
+    store = StatementStore()
+    st = Statement(2, 3, 2, 4, 0)
+    assert store.proof(st) is None and not store.deficient(st)
+    store.put(st, None)
+    assert store.deficient(st) and store.proof(st) is None
+    assert store.family(st) == [] and len(store) == 1
+    node = ProofNode(st, "base_rank_certificate")
+    store.put(st, node)  # a proof replaces the evidence
+    assert store.proof(st) is node and not store.deficient(st)
+    assert [entry[-1] for entry in store.family(st)] == [node]
+    assert len(store) == 1
+    store.put(st, ProofNode(st, "clamp_trivial"))  # but not the first proof
+    store.put(st, None)
+    assert store.proof(st) is node and not store.deficient(st)
+    assert [entry[-1] for entry in store.family(st)] == [node]
+    assert len(store) == 1
 
 
 def _first_anchor_by_sorted_key(proved, st):
@@ -234,10 +252,10 @@ def test_family_index_picks_the_sorted_walks_first_anchor():
     for _ in range(150):
         st = Statement(*rnd.choice(families), rnd.randrange(13), rnd.randrange(7))
         if rnd.random() < 0.2:
-            store.put(st, StoreEntry(DEFICIENT_EVIDENCE))
+            store.put(st, None)
             continue
         node = ProofNode(st, "base_rank_certificate")
-        store.put(st, StoreEntry(PROVED, node))
+        store.put(st, node)
         proved.setdefault(st.key, node)
     prover = Prover(store=store)
     hits = 0
@@ -269,7 +287,7 @@ def test_deficient_rank_leaf_is_not_measured_twice(monkeypatch):
     st = Statement(2, 3, 2, 5, 0)
     assert prover.prove(st) is None
     assert st.key in calls
-    assert prover.store.get(st).status == DEFICIENT_EVIDENCE
+    assert prover.store.deficient(st)
     first = len(calls)
     assert prover.prove(st) is None
     assert len(calls) == first

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from secantdim.field import PRIMARY_PRIME, PrimeField, SeededRng, derive_seed, rank, vstack
+from secantdim.field import PRIMARY_PRIME, PrimeField, SeededRng, derive_seed, rank
 from secantdim.bounds import ambient_dim
 from secantdim.tensorspace import (MonomialBasis, Point, PointConstraint,
                                    monomial_basis, multinomial,
-                                   power_row, sample_point, subspace_rows,
-                                   tangent_rows, y_rows)
+                                   sample_point, subspace_rows, tangent_rows,
+                                   y_rows)
 
 F = PrimeField(PRIMARY_PRIME)
 
@@ -47,23 +47,26 @@ def _eval_power(v, mu, p):
 
 
 def test_eval_power_and_power_row():
-    # each entry carries the multinomial coefficient of its monomial:
+    # at m = 0 y_rows is the single row v^d, each entry carrying the
+    # multinomial coefficient of its monomial:
     # (3 x + 5 y)^2 = 9 x^2 + 30 x y + 25 y^2
-    row = power_row((3, 5), monomial_basis(1, 2), F.p)
-    assert row.tolist() == [9, 30, 25]
+    row = y_rows(Point((1,), (3, 5)), 0, 1, 2, F)
+    assert row.array.tolist() == [[9, 30, 25]]
     with pytest.raises(ValueError):
-        power_row((3, 5, 7), monomial_basis(1, 2), F.p)
+        y_rows(Point((1,), (3, 5, 7)), 0, 1, 2, F)
 
 
 @pytest.mark.parametrize("prime", [PRIMARY_PRIME, 3_037_000_493])
 def test_power_row_matches_monomial_loop(prime):
-    rng = SeededRng(derive_seed(16, "power", prime), PrimeField(prime))
+    field = PrimeField(prime)
+    rng = SeededRng(derive_seed(16, "power", prime), field)
     for n in range(0, 7):
         for d in range(0, 5):
             basis = monomial_basis(n, d)
             for v in (rng.elements(n + 1).tolist(), [prime - 1] * (n + 1),
                       [0] * n + [prime - 1]):
-                got = power_row(v, basis, prime).tolist()
+                row = y_rows(Point((1,), tuple(v)), 0, n, d, field)
+                got = row.array[0].tolist()
                 assert got == [_eval_power(v, mu, prime)
                                for mu in basis.exponents], (n, d, v)
 
@@ -188,7 +191,7 @@ def test_tangent_on_l_mod_subspace():
         sub = subspace_rows(PointConstraint.ON_L.window(n), m, n, 2, F)
         pt = sample_point(rng, PointConstraint.ON_L, m, n)
         tangent = tangent_rows(pt, m, n, 2, F)
-        assert rank(vstack([sub, tangent])) == sub.rows + 2
+        assert rank(F.matrix(np.vstack([sub.array, tangent.array]))) == sub.rows + 2
 
 
 def test_degree_one_embedding():
