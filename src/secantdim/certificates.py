@@ -227,11 +227,15 @@ def eval_statement_checked(st: Statement, seed: int = 0, trials: int = 3,
         f"rank disagreement between primes persists for {st}")
 
 
+class DomainError(ValueError):
+    """A certificate's parameters lie outside its domain."""
+
+
 def q_config(m: int, n: int) -> Configuration:
     if n < 3:
-        raise ValueError("Q certificate needs n >= 3 (disjoint windows)")
+        raise DomainError("Q certificate needs n >= 3 (disjoint windows)")
     if m < 1:
-        raise ValueError("Q certificate needs m >= 1")
+        raise DomainError("Q certificate needs m >= 1")
     on_l, on_m = PointConstraint.ON_L, PointConstraint.ON_M
     return Configuration(m, n, 2, (on_l, on_m), (on_l,) * (m + 1) + (on_m,) * (m + 1))
 
@@ -262,7 +266,7 @@ def certify_R_under(m: int, n: int, seed: int = 0, trials: int = 3,
                     field: PrimeField = PrimeField()) -> Verdict:
     """First window block, s_under(m,n)-(m+1) tangents on it, m+1 general."""
     if not (1 <= m <= n):
-        raise ValueError("R_under certificate needs 1 <= m <= n")
+        raise DomainError("R_under certificate needs 1 <= m <= n")
     config = _r_config(m, n, s_under(m, n))
     return _measure(config, r_under_expected(m, n), seed, trials, field,
                     ("Runder", m, n))
@@ -272,7 +276,7 @@ def certify_R_over(m: int, n: int, seed: int = 0, trials: int = 3,
                    field: PrimeField = PrimeField()) -> Verdict:
     """Same shape at the superabundant threshold; expected full."""
     if m < 2 or n < 2:
-        raise ValueError("R_over certificate needs m >= 2 and n >= 2")
+        raise DomainError("R_over certificate needs m >= 2 and n >= 2")
     config = _r_config(m, n, s_over(m, n))
     return _measure(config, ambient_dim(m, n, 2), seed, trials, field,
                     ("Rover", m, n))
@@ -282,7 +286,7 @@ def certify_R2n(n: int, seed: int = 0, trials: int = 3,
                 field: PrimeField = PrimeField()) -> Verdict:
     """The m = 2, n odd configuration at s = 3*floor(n/2)+2; expected full."""
     if n < 3 or n % 2 == 0:
-        raise ValueError("R2n certificate needs odd n >= 3")
+        raise DomainError("R2n certificate needs odd n >= 3")
     config = _r_config(2, n, 3 * (n // 2) + 2)
     return _measure(config, ambient_dim(2, n, 2), seed, trials, field, ("R2n", n))
 
@@ -297,9 +301,9 @@ def witness_Rmm(m: int, field: PrimeField = PrimeField()) -> bool:
     guard.
     """
     if m < 2:
-        raise ValueError("witness needs m >= 2")
+        raise DomainError("witness needs m >= 2")
     if field.p <= m:
-        raise ValueError("field characteristic must exceed m")
+        raise DomainError("field characteristic must exceed m")
     points = []
     for i in range(m + 1):
         u = tuple(1 if j == i else 0 for j in range(m + 1))

@@ -21,9 +21,9 @@ import sys
 from dataclasses import asdict
 
 from .bounds import Statement
-from .certificates import (OUTCOME_DEFICIENT, OUTCOME_TRUE, certify_Q,
-                           certify_R2n, certify_R_over, certify_R_under,
-                           eval_statement_checked, witness_Rmm)
+from .certificates import (OUTCOME_DEFICIENT, OUTCOME_TRUE, DomainError,
+                           certify_Q, certify_R2n, certify_R_over,
+                           certify_R_under, eval_statement_checked, witness_Rmm)
 from .field import PRIMARY_PRIME, PrimeField, SeededRng, derive_seed, pfaffian, rank
 from .prover import UNKNOWN, Prover, proof_to_json
 from .scan import records_to_csv, records_to_jsonl, run_scan, scan_summary
@@ -63,10 +63,10 @@ _count = _int_at_least(1)
 _natural = _int_at_least(0)
 
 
-def _prime(text: str) -> int:
-    """The type of --prime: a modulus PrimeField accepts."""
+def _prime(text: str) -> PrimeField:
+    """The type of --prime: the field of a modulus PrimeField accepts."""
     try:
-        return PrimeField(_natural(text)).p
+        return PrimeField(_natural(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -84,7 +84,7 @@ def build_parser() -> _Parser:
                      description="dimension certificates for secant varieties "
                                  "of P^m x P^n in bidegree (1, d)")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=_prime, default=PRIMARY_PRIME)
+    common.add_argument("--prime", type=_prime, default=str(PRIMARY_PRIME))
     common.add_argument("--out", type=str, default=None)
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
     seeded.add_argument("--seed", type=int, default=0)
@@ -150,16 +150,15 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_dim(args) -> int:
     st = Statement(args.m, args.n, args.d, args.s, args.t)
-    field = PrimeField(args.prime)
     verdict = eval_statement_checked(st, seed=args.seed, trials=args.trials,
-                                     field=field)
+                                     field=args.prime)
     _emit(json.dumps(verdict.as_dict()) + "\n", args.out)
     return EXIT_OK if verdict.outcome == OUTCOME_TRUE else EXIT_DEFICIENT
 
 
 def cmd_scan(args) -> int:
     records = run_scan(args.max_m, args.max_n, seed=args.seed,
-                       prime=args.prime, trials=args.trials, jobs=args.jobs,
+                       field=args.prime, trials=args.trials, jobs=args.jobs,
                        cache_path=args.cache)
     text = records_to_csv(records) if args.format == "csv" \
         else records_to_jsonl(records)
@@ -172,26 +171,26 @@ def cmd_certify(args) -> int:
     name = args.name
     required, cert = _CERTS[name]
     params = {p: getattr(args, p) for p in required}
-    field = PrimeField(args.prime)
-    if cert is witness_Rmm:
-        ok = witness_Rmm(args.m, field)
-        outcome = OUTCOME_TRUE if ok else OUTCOME_DEFICIENT
-        _emit(json.dumps({"certificate": name, "m": args.m,
-                          "outcome": outcome}) + "\n", args.out)
-        return EXIT_OK if ok else EXIT_DEFICIENT
     given = {p: getattr(args, p) for p in ("seed", "trials")
-             if getattr(args, p) is not None}
-    verdict = cert(*params.values(), field=field, **given)
-    payload = {"certificate": name, "params": params}
-    payload.update(verdict.as_dict())
+             if getattr(args, p, None) is not None}
+    try:
+        result = cert(*params.values(), field=args.prime, **given)
+    except DomainError as exc:
+        print(f"secantdim certify {name}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if cert is witness_Rmm:
+        outcome = OUTCOME_TRUE if result else OUTCOME_DEFICIENT
+        payload = {"certificate": name, "m": args.m, "outcome": outcome}
+    else:
+        outcome = result.outcome
+        payload = {"certificate": name, "params": params, **result.as_dict()}
     _emit(json.dumps(payload) + "\n", args.out)
-    return EXIT_OK if verdict.outcome == OUTCOME_TRUE else EXIT_DEFICIENT
+    return EXIT_OK if outcome == OUTCOME_TRUE else EXIT_DEFICIENT
 
 
 def cmd_prove(args) -> int:
     st = Statement(args.m, args.n, args.d, args.s, args.t)
-    field = PrimeField(args.prime)
-    prover = Prover(seed=args.seed, trials=args.trials, field=field)
+    prover = Prover(seed=args.seed, trials=args.trials, field=args.prime)
     node = prover.prove(st)
     if node is None:
         _emit(json.dumps({"statement": asdict(st), "outcome": UNKNOWN}) + "\n",
@@ -202,16 +201,15 @@ def cmd_prove(args) -> int:
 
 
 def cmd_strassen(args) -> int:
-    field = PrimeField(args.prime)
     order = 3 * (2 * args.k + 2)
     if args.s is None:
-        tensor = random_tensor(SeededRng(derive_seed(args.seed, "strassen-gen",
-                                                     args.k), field), args.k)
+        rng = SeededRng(derive_seed(args.seed, "strassen-gen", args.k), args.prime)
+        tensor = random_tensor(rng, args.k)
         source = "generic"
     else:
-        rng = SeededRng(derive_seed(args.seed, "strassen", args.k, args.s), field)
+        rng = SeededRng(derive_seed(args.seed, "strassen", args.k, args.s), args.prime)
         tensor = slices_from_points(random_points(rng, args.s, args.k),
-                                    args.k, field)
+                                    args.k, args.prime)
         source = "decomposable-sum"
     mat = strassen_matrix(tensor)
     r = rank(mat)

@@ -15,7 +15,9 @@ a deficient result cross-checked over a second prime) outward from the
 filling point, down from floor(N / (m+n+1)) and up from ceil(N / (m+n+1)),
 until each walk reaches a `true` cell.  Every cell beyond those two gets
 rank = expected by monotonicity, and every measured cell keeps its own
-record.  With jobs > 1 the (m, n) groups run in a process pool.
+measured rank.  The walks keep ranks only, and each record is built once,
+from its cell's rank.  With jobs > 1 the (m, n) groups run in a process
+pool, and the run's PrimeField goes to every worker with its group.
 
 A record's `ms` is its equal share of its (m, n) group's time (every
 measurement the group made), in whole milliseconds.
@@ -40,7 +42,7 @@ from contextlib import ExitStack
 from .bounds import (Statement, ambient_dim, classify, conjecture_verdict,
                      expected_dim, q_bound, unbalanced_expected_dim)
 from .certificates import eval_statement_checked
-from .field import PRIMARY_PRIME, PrimeField
+from .field import PrimeField
 
 RECORD_FIELDS = ("m", "n", "d", "s", "t", "expected", "rank", "defect",
                  "abundance", "conjecture", "agree", "seed", "prime", "ms")
@@ -66,30 +68,23 @@ def _record(m: int, n: int, s: int, expected: int, rank: int, seed: int,
     }
 
 
-def evaluate_cell(m: int, n: int, s: int, seed: int = 0,
-                  prime: int = PRIMARY_PRIME, trials: int = 3) -> dict:
-    st = Statement(m, n, 2, s, 0)
-    start = time.perf_counter()
-    verdict = eval_statement_checked(st, seed=seed, trials=trials,
-                                     field=PrimeField(prime))
-    ms = int((time.perf_counter() - start) * 1000)
-    return _record(m, n, s, verdict.expected, verdict.rank, seed, prime, ms)
-
-
 def _scan_group(task: tuple) -> list[dict]:
     """Records of the cells (m, n, s), s in s_list, in order.  Each walk
     stops at its first `true` cell or at the end of s_values(m, n).  A cell
     both walks reach (N divisible by m+n+1) is measured once, and a cell in
-    cached (the group's cached records by s) is read there, not measured,
-    and is not returned."""
-    m, n, s_list, seed, prime, trials, cached = task
+    cached (the group's cached ranks by s) is read there, not measured, and
+    is not returned.  Each record is built once, from its cell's rank
+    (expected where no walk measured it) and the group's ms share."""
+    m, n, s_list, seed, field, trials, cached = task
     start = time.perf_counter()
-    measured = dict(cached)
+    ranks = dict(cached)
 
     def short(s: int) -> bool:
-        if s not in measured:
-            measured[s] = evaluate_cell(m, n, s, seed, prime, trials)
-        return measured[s]["defect"] > 0
+        st = Statement(m, n, 2, s, 0)
+        if s not in ranks:
+            ranks[s] = eval_statement_checked(st, seed=seed, trials=trials,
+                                              field=field).rank
+        return ranks[s] < expected_dim(st)
 
     s, top = q_bound(m, n), max(s_values(m, n))
     while short(s) and s > 1:
@@ -100,21 +95,18 @@ def _scan_group(task: tuple) -> list[dict]:
     share = int((time.perf_counter() - start) * 1000 / len(s_list))
     out = []
     for s in s_list:
-        if s in measured:
-            rec = dict(measured[s], ms=share)
-        else:
-            expected = expected_dim(Statement(m, n, 2, s, 0))
-            rec = _record(m, n, s, expected, expected, seed, prime, share)
-        out.append(rec)
+        expected = expected_dim(Statement(m, n, 2, s, 0))
+        out.append(_record(m, n, s, expected, ranks.get(s, expected), seed,
+                           field.p, share))
     return out
 
 
-def cache_key(rec: dict) -> str:
-    return ",".join(str(rec[k]) for k in
-                    ("m", "n", "d", "s", "t", "seed", "prime", "trials"))
+def cache_key(rec: dict) -> tuple:
+    return tuple(rec[k] for k in
+                 ("m", "n", "d", "s", "t", "seed", "prime", "trials"))
 
 
-def load_cache(path: str) -> dict[str, dict]:
+def load_cache(path: str) -> dict[tuple, dict]:
     """Cached records by cache_key, each with the fields RECORD_FIELDS.  An
     unparsable last line is the torn tail of an interrupted write and is
     skipped with a note on stderr; a bad line anywhere else, or a line that
@@ -126,7 +118,7 @@ def load_cache(path: str) -> dict[str, dict]:
                      if line.strip()]
     except FileNotFoundError:
         return {}
-    out: dict[str, dict] = {}
+    out: dict[tuple, dict] = {}
     for pos, (no, line) in enumerate(lines):
         try:
             rec = json.loads(line)
@@ -143,8 +135,8 @@ def load_cache(path: str) -> dict[str, dict]:
     return out
 
 
-def run_scan(max_m: int, max_n: int, seed: int = 0, prime: int = PRIMARY_PRIME,
-             trials: int = 3, jobs: int = 1,
+def run_scan(max_m: int, max_n: int, seed: int = 0,
+             field: PrimeField = PrimeField(), trials: int = 3, jobs: int = 1,
              cache_path: str | None = None) -> list[dict]:
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -157,14 +149,14 @@ def run_scan(max_m: int, max_n: int, seed: int = 0, prime: int = PRIMARY_PRIME,
         for n in range(1, max_n + 1):
             todo, known = [], {}
             for s in s_values(m, n):
-                key = cache_key({"m": m, "n": n, "d": 2, "s": s, "t": 0,
-                                 "seed": seed, "prime": prime, "trials": trials})
-                if key in cached:
-                    records[(m, n, s)] = known[s] = cached[key]
-                else:
+                rec = cached.get((m, n, 2, s, 0, seed, field.p, trials))
+                if rec is None:
                     todo.append(s)
+                else:
+                    records[(m, n, s)] = rec
+                    known[s] = rec["rank"]
             if todo:
-                groups.append((m, n, todo, seed, prime, trials, known))
+                groups.append((m, n, todo, seed, field, trials, known))
 
     with ExitStack() as stack:
         fresh = map(_scan_group, groups)

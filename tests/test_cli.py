@@ -221,6 +221,21 @@ def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
      "argument --prime: modulus 2147483649 is not prime"),
     (("strassen", "--k", "1", "--prime", "7"), 64,
      "argument --prime: modulus 7 outside supported range"),
+    # parameters outside a certificate's domain get the certificate's message
+    (("certify", "Q", "--m", "0", "--n", "3"), 64, "Q certificate needs m >= 1"),
+    (("certify", "Q", "--m", "1", "--n", "2"), 64,
+     "Q certificate needs n >= 3 (disjoint windows)"),
+    (("certify", "Runder", "--m", "3", "--n", "2"), 64,
+     "R_under certificate needs 1 <= m <= n"),
+    (("certify", "Runder", "--m", "-2", "--n", "3"), 64,
+     "R_under certificate needs 1 <= m <= n"),
+    (("certify", "Rover", "--m", "1", "--n", "4"), 64,
+     "R_over certificate needs m >= 2 and n >= 2"),
+    (("certify", "Rover", "--m", "3", "--n", "1"), 64,
+     "R_over certificate needs m >= 2 and n >= 2"),
+    (("certify", "R2n", "--n", "4"), 64, "R2n certificate needs odd n >= 3"),
+    (("certify", "R2n", "--n", "1"), 64, "R2n certificate needs odd n >= 3"),
+    (("certify", "witnessRmm", "--m", "1"), 64, "witness needs m >= 2"),
 ])
 def test_bad_values_exit_with_a_message(capsys, argv, code, message):
     got, _, err = run(capsys, *argv)

@@ -161,6 +161,11 @@ _REJECTIONS = [
     (_with(_RIND, children=()), None, "window chain needs one child"),
     (_with(_RIND, children=(_AH,)), None, "window chain child mismatch"),
     (_RIND, "certify_R_under", "window certificate does not reproduce"),
+    (_n((0, 3, 2, 2, 0), "base_AH"), None,
+     "the exact m = 0 count does not support this leaf"),
+    (_with(_SPLIT, rule="split(0,1,3,1)"), None, "split arithmetic broken"),
+    (_with(_SPLIT, rule="split(0,0,2,2)"), None, "split children mismatch"),
+    (_n((1, 2, 2, 1, 0), "rank_certificate"), None, "unknown rule"),
 ]
 
 

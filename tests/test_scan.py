@@ -12,9 +12,12 @@ import sys
 import pytest
 
 from secantdim import certificates, scan
-from secantdim.scan import (RECORD_FIELDS, defective_triples, evaluate_cell,
-                            load_cache, records_to_csv, records_to_jsonl,
-                            run_scan, s_values, scan_summary)
+from secantdim.bounds import Statement
+from secantdim.certificates import eval_statement_checked
+from secantdim.field import PrimeField
+from secantdim.scan import (RECORD_FIELDS, defective_triples, load_cache,
+                            records_to_csv, records_to_jsonl, run_scan,
+                            s_values, scan_summary)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -26,7 +29,7 @@ def test_s_values_covers_past_filling():
 
 
 def test_evaluate_cell_known():
-    rec = evaluate_cell(2, 3, 5)
+    rec, = [r for r in run_scan(2, 3) if (r["m"], r["n"], r["s"]) == (2, 3, 5)]
     assert rec["expected"] == 30 and rec["rank"] == 29 and rec["defect"] == 1
     assert rec["conjecture"] == "defective:b" and rec["agree"] is True
     assert rec["abundance"] == "equi"
@@ -45,7 +48,8 @@ def test_scan_ranks_match_evaluate_cell(seed):
     # a cell settled by monotonicity has the rank its own measurement gives
     for rec in run_scan(4, 4, seed=seed):
         m, n, s = rec["m"], rec["n"], rec["s"]
-        assert rec["rank"] == evaluate_cell(m, n, s, seed)["rank"], (m, n, s)
+        st = Statement(m, n, 2, s, 0)
+        assert rec["rank"] == eval_statement_checked(st, seed=seed).rank, st
 
 
 def test_cells_measured_outward_from_filling(monkeypatch):
@@ -164,13 +168,13 @@ def test_cache_is_keyed_by_trials(tmp_path, monkeypatch):
     assert all(tuple(rec) == RECORD_FIELDS
                for rec in load_cache(str(cache)).values())
     calls = []
-    measure = scan.evaluate_cell
+    measure = scan.eval_statement_checked
 
-    def counting(m, n, s, *args):
-        calls.append((m, n, s))
-        return measure(m, n, s, *args)
+    def counting(st, **kwargs):
+        calls.append((st.m, st.n, st.s))
+        return measure(st, **kwargs)
 
-    monkeypatch.setattr(scan, "evaluate_cell", counting)
+    monkeypatch.setattr(scan, "eval_statement_checked", counting)
     # a scan with other trials measures its cells again and appends them
     resumed = run_scan(2, 2, seed=0, trials=3, cache_path=str(cache))
     assert calls and len(cache.read_text().splitlines()) == 2 * len(lines)
@@ -190,6 +194,23 @@ def test_cache_is_keyed_by_trials(tmp_path, monkeypatch):
 
 def _without_ms(records):
     return [dict(r, ms=0) for r in records]
+
+
+def test_scan_at_another_prime_through_pool_and_cache(tmp_path):
+    # the field is pickled into the pool's workers and keys the cache
+    field = PrimeField(2147483659)
+    cache = tmp_path / "cells.jsonl"
+    serial = run_scan(3, 3, seed=0, field=field, jobs=1)
+    pooled = run_scan(3, 3, seed=0, field=field, jobs=2, cache_path=str(cache))
+    assert _without_ms(pooled) == _without_ms(serial)
+    assert {rec["prime"] for rec in serial + pooled} == {2147483659}
+    lines = cache.read_text().splitlines()
+    assert len(lines) == len(serial) == 43
+    # the default prime measures its cells again and appends them
+    default = run_scan(3, 3, seed=0, cache_path=str(cache))
+    assert {rec["prime"] for rec in default} == {PrimeField().p}
+    primes = [json.loads(x)["prime"] for x in cache.read_text().splitlines()]
+    assert primes == [2147483659] * 43 + [PrimeField().p] * 43
 
 
 def test_cache_resume_after_torn_last_line(tmp_path, capsys):
