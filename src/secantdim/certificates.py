@@ -22,7 +22,9 @@ rows sum_a c_ia e_a (x) w with c_ia the coordinates of its u.  So
 and only that last matrix, without its zero rows and columns, reaches the
 rank kernel.  Dependent u make the set u_a smaller, but every u still lies
 in its span, so the identity needs no other path.  Each step is an identity
-for the specialized matrix; a `true` verdict is a proof.
+for the specialized matrix; a `true` verdict is a proof.  One more point's
+rows go through the same reductions, and then modulo that last matrix, so
+one elimination gives the ranks without and with the point (``eval_pair``).
 
 Four specialized configurations degenerate some points onto the two
 codimension-2 windows of W and adjoin the full coordinate blocks
@@ -110,7 +112,8 @@ def statement_config(st: Statement) -> Configuration:
 
 def _span_rank(m: int, n: int, d: int, field: PrimeField,
                windows: tuple[PointConstraint, ...], points: list[Point],
-               ys: list[Point]) -> int:
+               ys: list[Point],
+               extra: Point | None = None) -> int | tuple[int, int] | None:
     """Rank of the window blocks, the tangent spaces at points and the
     V-slices at ys, stacked.  Each block but the rows u_i (x) v_i^(d-1) f_j is
     V (x) Y' for Y' its m = 0 (Veronese) block; with Y the sum of the Y' and
@@ -130,10 +133,25 @@ def _span_rank(m: int, n: int, d: int, field: PrimeField,
         rank(u_i (x) w_ij) = sum_a dim W_a + rank(c_ia (w_ij mod W_a)),
     the last matrix having one column block per a.  When the u are dependent
     the set is smaller, every u still lies in its span, and the identity is
-    the same.  Zero rows and columns are left out of the rank."""
+    the same.  Zero rows and columns are left out of the rank.
+
+    With an extra point (u', v') this returns the pair (rank, rank with the
+    extra point's tangent space too), from the same reductions: the second is
+    the first plus the rank of the extra rows reduced modulo the span.  Its
+    v'^d and v'^(d-1) f_j are reduced modulo Y (not added to it), u' is the
+    last column of the Gauss-Jordan on the u, giving u' = sum_a c_a u_a, and
+    its m+n+2 rows e_a (x) v'^d and sum_a c_a e_a (x) v'^(d-1) f_j are reduced
+    modulo the W_a with the other rows.  The last matrix is then eliminated
+    with the extra rows below it, pivoting in its own rows: the pivots give
+    its rank, and the rows left give the increment.  That needs the u_a to be
+    a basis of V, so the pair is None when the u do not span V."""
     nmon = ambient_dim(0, n, d)  # dim S_d(W)
+    s = len(points)
+    all_points = points if extra is None else points + [extra]
+    k = len(all_points) - s  # extra points: 0 or 1
     spans = [subspace_rows(w.window(n), 0, n, d, field) for w in windows]
-    tangents = [tangent_rows(Point((1,), pt.v), 0, n, d, field) for pt in points]
+    tangents = [tangent_rows(Point((1,), pt.v), 0, n, d, field)
+                for pt in all_points]
     slices = [y_rows(Point((1,), y.v), 0, n, d, field) for y in ys]
     if any(mat.cols != nmon for mat in spans + tangents + slices):
         raise ValueError("configuration blocks disagree on columns")
@@ -142,36 +160,62 @@ def _span_rank(m: int, n: int, d: int, field: PrimeField,
         on_window |= mat.array.any(axis=0)
     keep = ~on_window
     tan = np.array([mat.array for mat in tangents], dtype=np.int64)
-    tan = tan.reshape(len(points), n + 2, nmon)[:, :, keep]  # points may be empty
+    tan = tan.reshape(len(all_points), n + 2, nmon)[:, :, keep]  # points may be empty
     p = field.p
-    gens = [tan[:, 0]] + [mat.array[:, keep] for mat in slices]
-    dim_y, rest = reduce_rows(np.vstack(gens),
-                              tan[:, 1:].reshape(-1, tan.shape[2]), p)
+    gens = [tan[:s, 0]] + [mat.array[:, keep] for mat in slices]
+    w_rows = tan[:, 1:].reshape(-1, tan.shape[2])
+    if extra is not None:  # its v'^d is reduced modulo Y, not added to it
+        w_rows = np.vstack([w_rows, tan[s, :1]])
+    dim_y, rest = reduce_rows(np.vstack(gens), w_rows, p)
+    # the extra point's reduced rows: its w', then its v'^d
+    rest, rest_extra = rest[:s * (n + 1)], rest[s * (n + 1):]
     dim_y += int(on_window.sum())
     # Gauss-Jordan on u^T with the points last to first: the pivot columns
     # are the basis points a, and column i then holds u_i's coordinates c_ia
-    coords = np.array([pt.u for pt in reversed(points)],
+    coords = np.array([pt.u for pt in points[::-1] + all_points[s:]],
                       dtype=np.int64).reshape(-1, m + 1).T % p
     picked = gauss_jordan(coords[None], p)[0]
-    basis = len(points) - 1 - picked[picked >= 0]
-    coords = coords[picked >= 0, ::-1]
-    blocks = rest.reshape(len(points), n + 1, rest.shape[1])[basis]
+    if extra is not None and not ((picked >= 0) & (picked < s)).all():
+        return None  # the u do not span V, or u' would join the basis
+    basis = s - 1 - picked[picked >= 0]
+    coords = coords[picked >= 0, ::-1]  # u' first, then u_0 .. u_(s-1)
+    coords, c_extra = coords[:, k:], coords[:, :k]
+    blocks = rest.reshape(s, n + 1, rest.shape[1])[basis]
     pivots = gauss_jordan(blocks, p)
-    others = np.ones(len(points), dtype=bool)
+    others = np.ones(s, dtype=bool)
     others[basis] = False
     rows = rest[np.repeat(others, n + 1)]
     live = rows.any(axis=1)
     # c_ia reduced mod p, so every product stays below p^2 < 2^63
     stack = np.repeat(coords[:, others], n + 1, axis=1)[:, live, None] * rows[live]
+    if extra is not None:
+        # block a of the row e_b (x) v'^d is v'^d when a = b and 0 otherwise,
+        # and block a of the row sum_a c_a e_a (x) w' is c_a w'
+        vd = np.zeros((m + 1, m + 1, rest.shape[1]), dtype=np.int64)
+        vd[np.arange(m + 1), np.arange(m + 1)] = rest_extra[-1]
+        stack = np.concatenate(
+            [stack, vd, c_extra[:, :, None] * rest_extra[:-1]], axis=1)
     stack %= p
     reduce_modulo(stack, blocks, pivots, p)
     # block a's pivot columns are zero now, and go with the other zero columns
     mat = stack.transpose(1, 0, 2).reshape(stack.shape[1],
                                            len(basis) * rest.shape[1])
     mat = mat[:, mat.any(axis=0)]
+    split = len(mat) - k * (m + n + 2)
+    mat, mat_extra = mat[:split], mat[split:]
     mat = mat[mat.any(axis=1)]
-    return ((m + 1) * dim_y + int((pivots >= 0).sum())
-            + rank(DenseMatrix(mat, field)))
+    known = (m + 1) * dim_y + int((pivots >= 0).sum())
+    if extra is None:
+        return known + rank(DenseMatrix(mat, field))
+    dim_mat, left = reduce_rows(mat, mat_extra, p)
+    known += dim_mat
+    return known, known + rank(DenseMatrix(left, field))
+
+
+def _at_most_expected(r: int, expected: int) -> None:
+    if r > expected:
+        raise ArithmeticError(
+            f"rank {r} exceeds expected {expected}; semicontinuity violated")
 
 
 def _measure(config: Configuration, expected: int, seed: int, trials: int,
@@ -184,14 +228,32 @@ def _measure(config: Configuration, expected: int, seed: int, trials: int,
         points, ys = config.draw(SeededRng(derive_seed(seed, *label, trial), field))
         r = _span_rank(config.m, config.n, config.d, field, config.windows,
                        points, ys)
-        if r > expected:
-            raise ArithmeticError(
-                f"rank {r} exceeds expected {expected}; semicontinuity violated")
+        _at_most_expected(r, expected)
         if r > best:
             best = r
         if r == expected:
             return Verdict(r, expected, trial + 1, OUTCOME_TRUE)
     return Verdict(best, expected, trials, OUTCOME_DEFICIENT)
+
+
+def eval_pair(st: Statement, seed: int = 0,
+              field: PrimeField = PrimeField()) -> tuple[int, int] | None:
+    """Ranks for st and for st with one more point, from one elimination:
+    st's own first draw in eval_statement, then that draw plus the first
+    point of the first draw for s + 1.  Each rank is exact for its
+    specialization, so one that reaches its expected dimension proves its
+    statement; a short one proves nothing.  None when the u of st's draw do
+    not span V."""
+    more = Statement(st.m, st.n, st.d, st.s + 1, st.t)
+    points, ys = statement_config(st).draw(
+        SeededRng(derive_seed(seed, "S", *st.key, 0), field))
+    extra = sample_point(SeededRng(derive_seed(seed, "S", *more.key, 0), field),
+                         PointConstraint.GENERIC, st.m, st.n)
+    pair = _span_rank(st.m, st.n, st.d, field, (), points, ys, extra)
+    if pair is not None:
+        for r, each in zip(pair, (st, more)):
+            _at_most_expected(r, expected_dim(each))
+    return pair
 
 
 def eval_statement(st: Statement, seed: int = 0, trials: int = 3,

@@ -160,7 +160,13 @@ def _sub_product(c: np.ndarray, l: np.ndarray, u: np.ndarray, p: int) -> None:
     bound this raises instead of rounding.  The high-limb product is reduced
     and shifted (below 2^48), the low-limb one is subtracted raw (below 2^53),
     and the block is reduced once.  The rows of c go in blocks of
-    _BLOCK_ROWS per slice, so the float and int scratch stays that small."""
+    _BLOCK_ROWS per slice, so the float and int scratch stays that small.
+
+    Both reductions are x - (x // p) p through scratch: numpy divides by a
+    scalar several times faster than it takes an int64 %, and a fresh
+    temporary per step would cost as much again.  _eliminate's per-pivot
+    panel updates keep %: on their small slices the extra steps cost more
+    than they save."""
     k = l.shape[-1]
     if k * (p - 1) * (2**_LIMB_BITS - 1) >= 2**53:
         raise OverflowError(f"a product of depth {k} mod {p} is not exact "
@@ -170,20 +176,26 @@ def _sub_product(c: np.ndarray, l: np.ndarray, u: np.ndarray, p: int) -> None:
     rows = c.shape[-2]
     fbuf = np.empty(c.shape[:-2] + (min(_BLOCK_ROWS, rows), c.shape[-1]))
     ibuf = np.empty(fbuf.shape, dtype=np.int64)
+    qbuf = np.empty(fbuf.shape, dtype=np.int64)
     for lo in range(0, rows, _BLOCK_ROWS):
         block = c[..., lo:lo + _BLOCK_ROWS, :]
         lf = l[..., lo:lo + _BLOCK_ROWS, :].astype(np.float64)
         height = block.shape[-2]
         fprod, iprod = fbuf[..., :height, :], ibuf[..., :height, :]
+        quot = qbuf[..., :height, :]
         np.matmul(lf, high, out=fprod)
         np.copyto(iprod, fprod, casting="unsafe")
-        iprod %= p
+        np.floor_divide(iprod, p, out=quot)
+        quot *= p
+        iprod -= quot
         iprod <<= _LIMB_BITS
         block -= iprod
         np.matmul(lf, low, out=fprod)
         np.copyto(iprod, fprod, casting="unsafe")
         block -= iprod
-        block %= p
+        np.floor_divide(block, p, out=quot)
+        quot *= p
+        block -= quot
 
 
 def _eliminate(a: np.ndarray, p: int, npiv: int) -> list[int]:

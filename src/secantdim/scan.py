@@ -9,11 +9,21 @@ Each (m, n) group is settled by abundance monotonicity.  Generic tangent
 spaces that are independent at s points stay independent at fewer points,
 and tangent spaces that fill the ambient space at s points still fill it at
 more.  So a `true` verdict at a subabundant s proves every smaller s, and a
-`true` verdict at a superabundant s proves every larger s.  The scan measures
-cells with eval_statement_checked (the cell's seed, up to `trials` draws, and
-a deficient result cross-checked over a second prime) outward from the
-filling point, down from floor(N / (m+n+1)) and up from ceil(N / (m+n+1)),
-until each walk reaches a `true` cell.  Every cell beyond those two gets
+`true` verdict at a superabundant s proves every larger s.
+
+A group is settled in two steps.  First the pair: when N is not divisible by
+m+n+1 and the floor cell q = floor(N / (m+n+1)) has at least m+1 points,
+eval_pair gives the ranks at q and q+1 from one elimination (the cell q's
+first draw, and that draw plus one more point).  Each is the exact rank of
+a specialization, so one that reaches its expected dimension proves its
+cell, by the same semicontinuity that makes any `true` verdict a proof; a
+short one proves nothing and is dropped.  Then the walks: the scan measures
+cells with eval_statement_checked (the cell's seed, up to `trials` draws,
+and a deficient result cross-checked over a second prime) outward from the
+filling point, down from q and up from ceil(N / (m+n+1)), until each walk
+reaches a `true` cell.  A cell the pair settled is such a cell, so the walk
+stops there without measuring it, and every deficient record still comes
+from eval_statement_checked.  Every cell beyond the walks gets
 rank = expected by monotonicity, and every measured cell keeps its own
 measured rank.  The walks keep ranks only, and each record is built once,
 from its cell's rank.  With jobs > 1 the (m, n) groups run in a process
@@ -41,7 +51,7 @@ from contextlib import ExitStack
 
 from .bounds import (Statement, ambient_dim, classify, conjecture_verdict,
                      expected_dim, q_bound, unbalanced_expected_dim)
-from .certificates import eval_statement_checked
+from .certificates import eval_pair, eval_statement_checked
 from .field import PrimeField
 
 RECORD_FIELDS = ("m", "n", "d", "s", "t", "expected", "rank", "defect",
@@ -69,15 +79,25 @@ def _record(m: int, n: int, s: int, expected: int, rank: int, seed: int,
 
 
 def _scan_group(task: tuple) -> list[dict]:
-    """Records of the cells (m, n, s), s in s_list, in order.  Each walk
-    stops at its first `true` cell or at the end of s_values(m, n).  A cell
-    both walks reach (N divisible by m+n+1) is measured once, and a cell in
-    cached (the group's cached ranks by s) is read there, not measured, and
-    is not returned.  Each record is built once, from its cell's rank
-    (expected where no walk measured it) and the group's ms share."""
+    """Records of the cells (m, n, s), s in s_list, in order.  First the
+    pair, where ceil = floor + 1, floor >= m + 1 (fewer u cannot span V)
+    and neither cell is cached: each of its ranks that reaches the expected
+    dimension is the exact rank of a specialization, hence a proof, and
+    settles its cell; a short one is dropped.  Then each walk stops at its
+    first `true` cell or at the end of s_values(m, n).  A cell both walks
+    reach (N divisible by m+n+1) is measured once, and a cell in cached (the
+    group's cached ranks by s) is read there, not measured, and is not
+    returned.  Each record is built once, from its cell's rank (expected
+    where nothing measured it) and the group's ms share."""
     m, n, s_list, seed, field, trials, cached = task
     start = time.perf_counter()
     ranks = dict(cached)
+    s, top = q_bound(m, n), max(s_values(m, n))
+    if top - 1 == s + 1 and s >= m + 1 and s not in ranks and s + 1 not in ranks:
+        cells = (Statement(m, n, 2, s, 0), Statement(m, n, 2, s + 1, 0))
+        for st, r in zip(cells, eval_pair(cells[0], seed=seed, field=field) or ()):
+            if r == expected_dim(st):
+                ranks[st.s] = r
 
     def short(s: int) -> bool:
         st = Statement(m, n, 2, s, 0)
@@ -86,7 +106,6 @@ def _scan_group(task: tuple) -> list[dict]:
                                               field=field).rank
         return ranks[s] < expected_dim(st)
 
-    s, top = q_bound(m, n), max(s_values(m, n))
     while short(s) and s > 1:
         s -= 1
     s = top - 1  # ceil(N / (m+n+1))

@@ -401,6 +401,96 @@ def test_change_of_basis_equals_full_stack_rank(field):
     assert dependent >= 40
 
 
+# -- the filling pair from one elimination ------------------------------------
+
+
+def _pair_draws(st, seed, field):
+    """st's first draw in eval_statement, and the first point of the first
+    draw for s + 1: the points eval_pair measures."""
+    points, ys = certificates.statement_config(st).draw(
+        SeededRng(derive_seed(seed, "S", *st.key, 0), field))
+    more = Statement(st.m, st.n, st.d, st.s + 1, st.t)
+    ceil_points, _ = certificates.statement_config(more).draw(
+        SeededRng(derive_seed(seed, "S", *more.key, 0), field))
+    return points, ys, ceil_points[0]
+
+
+def _two_calls(st, field, points, ys, extra):
+    """The oracle's ranks without and with the extra point."""
+    args = (st.m, st.n, st.d, field, ())
+    return (certificates._span_rank(*args, points, ys),
+            certificates._span_rank(*args, points + [extra], ys))
+
+
+@pytest.mark.parametrize("field", [F, TOP], ids=["F", "TOP"])
+def test_pair_equals_two_oracle_calls(field):
+    """Both ranks of the pair are the oracle's on the same draws, for every
+    m, n <= 6 and m+1 <= s <= 15: the u then span V."""
+    cases = 0
+    for m, n in itertools.product(range(1, 7), repeat=2):
+        for s in range(m + 1, 16):
+            st = Statement(m, n, 2, s, 0)
+            want = _two_calls(st, field, *_pair_draws(st, 3, field))
+            assert certificates.eval_pair(st, seed=3, field=field) == want, st
+            cases += 1
+    assert cases == 414
+
+
+def _special_pairs(points, extra, m, p):
+    """The draws with a repeated u or v among the points or in the extra
+    point, or with u that do not span V."""
+    first, last, before = points[0], points[-1], points[-2]
+    yield points[:-1] + [Point(last.u, before.v)], extra
+    yield points, Point(extra.u, first.v)
+    yield points, Point(first.u, extra.v)
+    yield points, first  # the extra point is a point already there
+    for pts in _with_dependent_u(points, m, p):
+        yield pts, extra
+
+
+@pytest.mark.parametrize("field", [F, TOP], ids=["F", "TOP"])
+def test_pair_in_special_position(field):
+    """Repeated u or v keep the pair equal to the oracle's two ranks; u that
+    do not span V give no pair, since the extra rows need the u_a to be a
+    basis of V."""
+    spanning = none = 0
+    keys = [(m, n, 2, s, 0) for m in range(1, 5) for n in range(1, 5)
+            for s in (m + 1, m + 2, m + 4)]
+    keys += [(1, 2, 3, 3, 1), (2, 4, 2, 5, 1), (3, 3, 2, 4, 2)]
+    for key in keys:
+        st = Statement(*key)
+        points, ys, extra = _pair_draws(st, 0, field)
+        for pts, ex in _special_pairs(points, extra, st.m, field.p):
+            got = certificates._span_rank(st.m, st.n, st.d, field, (), pts, ys, ex)
+            if _u_rank(pts, field.p) < st.m + 1:
+                assert got is None, (key, pts)
+                none += 1
+            else:
+                assert got == _two_calls(st, field, pts, ys, ex), (key, pts, ex)
+                spanning += 1
+    assert spanning >= 250 and none >= 80
+    # too few points to span V
+    assert certificates.eval_pair(Statement(4, 3, 2, 3, 0), field=field) is None
+
+
+@pytest.mark.parametrize("name", ["rank", "reduce_rows"])
+def test_pair_rank_above_expected_raises(monkeypatch, name):
+    # one dimension too many on either side of the pair (rank gives the
+    # increment, reduce_rows dim Y and the floor's last rank) must raise
+    # rather than certify
+    real = getattr(certificates, name)
+
+    def inflated(*args):
+        out = real(*args)
+        return out + 1 if name == "rank" else (out[0] + 1, out[1])
+
+    st = Statement(3, 3, 2, 5, 0)
+    assert certificates.eval_pair(st) == (35, 40)
+    monkeypatch.setattr(certificates, name, inflated)
+    with pytest.raises(ArithmeticError, match="semicontinuity"):
+        certificates.eval_pair(st)
+
+
 def test_reduction_runs_on_the_w_parts_only(monkeypatch):
     """Y is reduced against the s(n+1) rows v^(d-1) f_j of S_d(W), once,
     not against their (m+1) V-slices each, and on the columns off the

@@ -53,23 +53,88 @@ def test_scan_ranks_match_evaluate_cell(seed):
 
 
 def test_cells_measured_outward_from_filling(monkeypatch):
+    calls, pairs = [], []
+    measure, pair = scan.eval_statement_checked, scan.eval_pair
+
+    def counting(st, **kwargs):
+        calls.append((st.m, st.n, st.s))
+        return measure(st, **kwargs)
+
+    def counting_pairs(st, **kwargs):
+        pairs.append((st.m, st.n, st.s))
+        return pair(st, **kwargs)
+
+    monkeypatch.setattr(scan, "eval_statement_checked", counting)
+    monkeypatch.setattr(scan, "eval_pair", counting_pairs)
+    records = run_scan(3, 3, seed=0, trials=3)
+    # the pair runs where ceil = floor + 1 and floor >= m + 1, and settles
+    # (2, 2, 3), (2, 2, 4), (3, 3, 5) and (3, 3, 6): both of its ranks are full
+    assert pairs == [(2, 2, 3), (3, 3, 5)]
+    # down from floor(N / (m+n+1)), then up from ceil, each to a true cell;
+    # (2, 3, 5) is short, so both walks step past it, and it is measured once
+    assert calls == [(1, 1, 2), (1, 2, 3), (1, 3, 4), (2, 1, 2), (2, 1, 3),
+                     (2, 3, 5), (2, 3, 4), (2, 3, 6),
+                     (3, 1, 2), (3, 1, 3), (3, 2, 4)]
+    with open(os.path.join(GOLDEN, "scan_3_3.jsonl")) as fh:
+        golden = [json.loads(line) for line in fh]
+    assert [dict(r, ms=0) for r in records] == golden
+
+
+# every cell the walks of run_scan(3, 3, seed=0) measure without the pair
+_WALKS_ALONE = [(1, 1, 2), (1, 2, 3), (1, 3, 4), (2, 1, 2), (2, 1, 3),
+                (2, 2, 3), (2, 2, 4), (2, 3, 5), (2, 3, 4), (2, 3, 6),
+                (3, 1, 2), (3, 1, 3), (3, 2, 4), (3, 3, 5), (3, 3, 6)]
+
+
+@pytest.mark.parametrize("short, settled", [
+    (lambda pair: None, ()),
+    (lambda pair: (pair[0] - 1, pair[1] - 1), ()),
+    # a full floor rank is kept, and the ceil cell goes to the walk
+    (lambda pair: (pair[0], pair[1] - 1), ((2, 2, 3), (3, 3, 5))),
+])
+def test_short_pair_leaves_its_cells_to_the_walks(monkeypatch, short, settled):
     calls = []
-    measure = scan.eval_statement_checked
+    measure, pair = scan.eval_statement_checked, scan.eval_pair
 
     def counting(st, **kwargs):
         calls.append((st.m, st.n, st.s))
         return measure(st, **kwargs)
 
     monkeypatch.setattr(scan, "eval_statement_checked", counting)
+    monkeypatch.setattr(scan, "eval_pair",
+                        lambda st, **kwargs: short(pair(st, **kwargs)))
     records = run_scan(3, 3, seed=0, trials=3)
-    # down from floor(N / (m+n+1)), then up from ceil, each to a true cell;
-    # (2, 3, 5) is short, so both walks step past it, and it is measured once
-    assert calls == [(1, 1, 2), (1, 2, 3), (1, 3, 4), (2, 1, 2), (2, 1, 3),
-                     (2, 2, 3), (2, 2, 4), (2, 3, 5), (2, 3, 4), (2, 3, 6),
-                     (3, 1, 2), (3, 1, 3), (3, 2, 4), (3, 3, 5), (3, 3, 6)]
+    assert calls == [cell for cell in _WALKS_ALONE if cell not in settled]
     with open(os.path.join(GOLDEN, "scan_3_3.jsonl")) as fh:
         golden = [json.loads(line) for line in fh]
-    assert [dict(r, ms=0) for r in records] == golden
+    assert _without_ms(records) == golden
+
+
+def test_resume_between_floor_and_ceil_measures_the_ceil(tmp_path, monkeypatch):
+    # the cache holds (2, 2) up to its floor cell 3: the pair is skipped,
+    # the floor is read from the cache and the ceil cell 4 is measured
+    cache = tmp_path / "cells.jsonl"
+    whole = run_scan(3, 3, seed=0, cache_path=str(cache))
+    kept = []
+    for line in cache.read_text().splitlines(keepends=True):
+        rec = json.loads(line)
+        if (rec["m"], rec["n"]) != (2, 2) or rec["s"] <= 3:
+            kept.append(line)
+    assert len(kept) == len(whole) - 2
+    cache.write_text("".join(kept))
+    calls, pairs = [], []
+    measure = scan.eval_statement_checked
+    monkeypatch.setattr(scan, "eval_pair",
+                        lambda st, **kwargs: pairs.append(st) or (0, 0))
+
+    def counting(st, **kwargs):
+        calls.append((st.m, st.n, st.s))
+        return measure(st, **kwargs)
+
+    monkeypatch.setattr(scan, "eval_statement_checked", counting)
+    resumed = run_scan(3, 3, seed=0, cache_path=str(cache))
+    assert pairs == [] and calls == [(2, 2, 4)]
+    assert _without_ms(resumed) == _without_ms(whole)
 
 
 @pytest.mark.parametrize("jobs, drop, want", [
