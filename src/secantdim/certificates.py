@@ -8,6 +8,13 @@ rank over F_p.  Rank is lower semicontinuous, so measuring the expected
 dimension at one specialization proves the statement; a shortfall is only
 evidence of deficiency, cross-checked over a second prime before it is reported.
 
+A configuration's points come from one call on the seeded stream, with the
+values of one call per vector, so a seed reproduces the same points as
+drawing them one by one (``Configuration.draw``).  Their u and v stay
+stacked, and the rows v^d and v^(d-1) f_j of all tangent points are built in
+one pass; eval_pair's extra point, the V-slices and the window blocks use the
+single-point builders of tensorspace.
+
 The full stack is never eliminated.  Every block but the rows u (x) w,
 w = v^(d-1) f_j, spans V (x) Y' for Y' its m = 0 (Veronese) block.  With
 Y = sum Y', rank = (m+1) dim Y + rank(u (x) (w mod Y)): reduction is linear,
@@ -57,8 +64,12 @@ from .bounds import Statement, ambient_dim, expected_dim, s_over, s_under
 from .field import (PRIMARY_PRIME, SECONDARY_PRIME, DenseMatrix, PrimeField,
                     SeededRng, derive_seed, gauss_jordan, rank, reduce_modulo,
                     reduce_rows)
-from .tensorspace import (Point, PointConstraint, sample_point, subspace_rows,
-                          tangent_rows, y_rows)
+# Configuration points are drawn and built in batches (Configuration.draw,
+# _span_rank).  sample_point and tangent_rows still make eval_pair's extra
+# point, y_rows the V-slices and subspace_rows the window columns: these are
+# the names bench/tracing.py patches to time drawing and row building.
+from .tensorspace import (Point, PointConstraint, power_rows, sample_point,
+                          subspace_rows, tangent_rows, y_rows)
 
 OUTCOME_TRUE = "true"
 OUTCOME_DEFICIENT = "deficient"
@@ -96,13 +107,37 @@ class Configuration:
     tangents: tuple[PointConstraint, ...] = ()
     slices: int = 0
 
-    def draw(self, rng: SeededRng) -> tuple[list[Point], list[Point]]:
-        """The tangent points and the V-slice points, in that draw order."""
-        m, n = self.m, self.n
-        points = [sample_point(rng, c, m, n) for c in self.tangents]
-        ys = [sample_point(rng, PointConstraint.GENERIC, m, n)
-              for _ in range(self.slices)]
-        return points, ys
+    def draw(self, rng: SeededRng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The tangent points' u, shape (s, m+1), and v, shape (s, n+1), and
+        the V-slice points' v, shape (t, n+1).  Each point draws its u, then
+        its v on its window (zero off it), tangent points first, all in one
+        call on the stream, whose values are those of sample_point's one
+        call per vector.  When a vector comes out zero, the stream is
+        rewound and drawn point by point with sample_point, which redraws
+        that vector alone; an empty window raises there too."""
+        m, n, s = self.m, self.n, len(self.tangents)
+        kinds = self.tangents + (PointConstraint.GENERIC,) * self.slices
+        distinct = list(dict.fromkeys(kinds))
+        windows = [kind.window(n) for kind in distinct]
+        if all(windows):
+            # the entries a point of each kind draws into its u and its v
+            drawn_by = np.zeros((len(distinct), m + n + 2), dtype=bool)
+            drawn_by[:, :m + 1] = True
+            for row, window in zip(drawn_by, windows):
+                row[[m + 1 + j for j in window]] = True
+            # every point's entries, in row-major order: the draw order
+            mask = drawn_by[[distinct.index(kind) for kind in kinds]]
+            state = rng.state
+            drawn = np.zeros(mask.shape, dtype=np.int64)
+            drawn[mask] = rng.elements(int(mask.sum()))
+            u, v = drawn[:, :m + 1], drawn[:, m + 1:]
+            if u.any(axis=1).all() and v.any(axis=1).all():
+                return u[:s], v[:s], v[s:]
+            rng.state = state
+        points = [sample_point(rng, kind, m, n) for kind in kinds]
+        u = np.array([pt.u for pt in points], dtype=np.int64).reshape(-1, m + 1)
+        v = np.array([pt.v for pt in points], dtype=np.int64).reshape(-1, n + 1)
+        return u[:s], v[:s], v[s:]
 
 
 def statement_config(st: Statement) -> Configuration:
@@ -111,11 +146,13 @@ def statement_config(st: Statement) -> Configuration:
 
 
 def _span_rank(m: int, n: int, d: int, field: PrimeField,
-               windows: tuple[PointConstraint, ...], points: list[Point],
-               ys: list[Point],
+               windows: tuple[PointConstraint, ...], u: np.ndarray,
+               v: np.ndarray, ys: np.ndarray,
                extra: Point | None = None) -> int | tuple[int, int] | None:
-    """Rank of the window blocks, the tangent spaces at points and the
-    V-slices at ys, stacked.  Each block but the rows u_i (x) v_i^(d-1) f_j is
+    """Rank of the window blocks, the tangent spaces at the points
+    (u_i, v_i), the rows of u and v, and the V-slices at the rows v of ys,
+    stacked.  The points' rows v_i^d and v_i^(d-1) f_j are built for all i at
+    once, from v stacked.  Each block but the rows u_i (x) v_i^(d-1) f_j is
     V (x) Y' for Y' its m = 0 (Veronese) block; with Y the sum of the Y' and
     w_ij = v_i^(d-1) f_j mod Y in S_d(W), rank = (m+1) dim Y + rank(u_i (x) w_ij).
 
@@ -146,34 +183,33 @@ def _span_rank(m: int, n: int, d: int, field: PrimeField,
     its rank, and the rows left give the increment.  That needs the u_a to be
     a basis of V, so the pair is None when the u do not span V."""
     nmon = ambient_dim(0, n, d)  # dim S_d(W)
-    s = len(points)
-    all_points = points if extra is None else points + [extra]
-    k = len(all_points) - s  # extra points: 0 or 1
+    s = len(u)
+    p = field.p
     spans = [subspace_rows(w.window(n), 0, n, d, field) for w in windows]
-    tangents = [tangent_rows(Point((1,), pt.v), 0, n, d, field)
-                for pt in all_points]
-    slices = [y_rows(Point((1,), y.v), 0, n, d, field) for y in ys]
+    tangents = ([] if extra is None
+                else [tangent_rows(Point((1,), extra.v), 0, n, d, field)])
+    k = len(tangents)  # extra points: 0 or 1
+    slices = [y_rows(Point((1,), tuple(y)), 0, n, d, field) for y in ys.tolist()]
     if any(mat.cols != nmon for mat in spans + tangents + slices):
         raise ValueError("configuration blocks disagree on columns")
     on_window = np.zeros(nmon, dtype=bool)
     for mat in spans:
         on_window |= mat.array.any(axis=0)
     keep = ~on_window
-    tan = np.array([mat.array for mat in tangents], dtype=np.int64)
-    tan = tan.reshape(len(all_points), n + 2, nmon)[:, :, keep]  # points may be empty
-    p = field.p
-    gens = [tan[:s, 0]] + [mat.array[:, keep] for mat in slices]
-    w_rows = tan[:, 1:].reshape(-1, tan.shape[2])
+    vd, w = power_rows(v % p, n, d, p)
+    gens = [vd[:, keep]] + [mat.array[:, keep] for mat in slices]
+    w_rows = w[:, :, keep].reshape(s * (n + 1), int(keep.sum()))
     if extra is not None:  # its v'^d is reduced modulo Y, not added to it
-        w_rows = np.vstack([w_rows, tan[s, :1]])
+        tan = tangents[0].array[:, keep]
+        w_rows = np.vstack([w_rows, tan[1:], tan[:1]])
     dim_y, rest = reduce_rows(np.vstack(gens), w_rows, p)
     # the extra point's reduced rows: its w', then its v'^d
     rest, rest_extra = rest[:s * (n + 1)], rest[s * (n + 1):]
     dim_y += int(on_window.sum())
     # Gauss-Jordan on u^T with the points last to first: the pivot columns
     # are the basis points a, and column i then holds u_i's coordinates c_ia
-    coords = np.array([pt.u for pt in points[::-1] + all_points[s:]],
-                      dtype=np.int64).reshape(-1, m + 1).T % p
+    us = u[::-1] if extra is None else np.vstack([u[::-1], [extra.u]])
+    coords = us.T % p
     picked = gauss_jordan(coords[None], p)[0]
     if extra is not None and not ((picked >= 0) & (picked < s)).all():
         return None  # the u do not span V, or u' would join the basis
@@ -191,10 +227,10 @@ def _span_rank(m: int, n: int, d: int, field: PrimeField,
     if extra is not None:
         # block a of the row e_b (x) v'^d is v'^d when a = b and 0 otherwise,
         # and block a of the row sum_a c_a e_a (x) w' is c_a w'
-        vd = np.zeros((m + 1, m + 1, rest.shape[1]), dtype=np.int64)
-        vd[np.arange(m + 1), np.arange(m + 1)] = rest_extra[-1]
+        diag = np.zeros((m + 1, m + 1, rest.shape[1]), dtype=np.int64)
+        diag[np.arange(m + 1), np.arange(m + 1)] = rest_extra[-1]
         stack = np.concatenate(
-            [stack, vd, c_extra[:, :, None] * rest_extra[:-1]], axis=1)
+            [stack, diag, c_extra[:, :, None] * rest_extra[:-1]], axis=1)
     stack %= p
     reduce_modulo(stack, blocks, pivots, p)
     # block a's pivot columns are zero now, and go with the other zero columns
@@ -225,9 +261,9 @@ def _measure(config: Configuration, expected: int, seed: int, trials: int,
         raise ValueError("need at least one trial")
     best = -1
     for trial in range(trials):
-        points, ys = config.draw(SeededRng(derive_seed(seed, *label, trial), field))
+        drawn = config.draw(SeededRng(derive_seed(seed, *label, trial), field))
         r = _span_rank(config.m, config.n, config.d, field, config.windows,
-                       points, ys)
+                       *drawn)
         _at_most_expected(r, expected)
         if r > best:
             best = r
@@ -245,11 +281,11 @@ def eval_pair(st: Statement, seed: int = 0,
     statement; a short one proves nothing.  None when the u of st's draw do
     not span V."""
     more = Statement(st.m, st.n, st.d, st.s + 1, st.t)
-    points, ys = statement_config(st).draw(
+    drawn = statement_config(st).draw(
         SeededRng(derive_seed(seed, "S", *st.key, 0), field))
     extra = sample_point(SeededRng(derive_seed(seed, "S", *more.key, 0), field),
                          PointConstraint.GENERIC, st.m, st.n)
-    pair = _span_rank(st.m, st.n, st.d, field, (), points, ys, extra)
+    pair = _span_rank(st.m, st.n, st.d, field, (), *drawn, extra)
     if pair is not None:
         for r, each in zip(pair, (st, more)):
             _at_most_expected(r, expected_dim(each))
@@ -366,13 +402,10 @@ def witness_Rmm(m: int, field: PrimeField = PrimeField()) -> bool:
         raise DomainError("witness needs m >= 2")
     if field.p <= m:
         raise DomainError("field characteristic must exceed m")
-    points = []
-    for i in range(m + 1):
-        u = tuple(1 if j == i else 0 for j in range(m + 1))
-        v = [0] * (m + 1)
-        v[i] = 1
-        if i >= 2:
-            v[0], v[1] = i, 1
-        points.append(Point(u, tuple(v)))
-    return (_span_rank(m, m, 2, field, (PointConstraint.ON_M,), points, [])
+    u = np.eye(m + 1, dtype=np.int64)
+    v = np.eye(m + 1, dtype=np.int64)
+    v[2:, 0] = np.arange(2, m + 1)
+    v[2:, 1] = 1
+    ys = np.zeros((0, m + 1), dtype=np.int64)
+    return (_span_rank(m, m, 2, field, (PointConstraint.ON_M,), u, v, ys)
             == ambient_dim(m, m, 2))

@@ -389,7 +389,20 @@ class SeededRng:
         self._gen = np.random.Generator(np.random.PCG64(seed))
 
     def elements(self, count: int) -> np.ndarray:
+        """count elements.  One call draws the same values as consecutive
+        calls whose counts add up to count: every supported p is below 2^32,
+        and PCG64 keeps its spare 32-bit half in its state between calls."""
         return self._gen.integers(0, self.field.p, size=count, dtype=np.int64)
+
+    @property
+    def state(self) -> dict:
+        """The generator's position in the stream; assigning a saved state
+        rewinds it there."""
+        return self._gen.bit_generator.state
+
+    @state.setter
+    def state(self, saved: dict) -> None:
+        self._gen.bit_generator.state = saved
 
     def nonzero_vector(self, length: int) -> np.ndarray:
         if length <= 0:

@@ -122,14 +122,28 @@ def _power_tables(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _power(vals: np.ndarray, n: int, d: int, p: int) -> np.ndarray:
     """Coefficients of v^d for the residues vals of v, in the monomial
-    basis: multinomial(mu) * v^mu mod p.  Every product is of two residues,
-    so it stays below p^2 < 2^63."""
+    basis: multinomial(mu) * v^mu mod p.  vals may stack several v on
+    leading axes, one v per last-axis row.  Every product is of two
+    residues, so it stays below p^2 < 2^63."""
     variables, coeffs = _power_tables(n, d)
-    out = coeffs % p
+    out = np.empty(vals.shape[:-1] + coeffs.shape, dtype=np.int64)
+    out[...] = coeffs % p
     for var in variables:
-        out *= vals[var]
+        out *= vals[..., var]
         out %= p
     return out
+
+
+def power_rows(vals: np.ndarray, n: int, d: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """v^d and the rows v^(d-1) f_j, j = 0..n, for the residues vals of v,
+    with one v per last-axis row of vals: shapes (..., N) and (..., n+1, N),
+    N = dim S_d(W).  The coefficient of f^mu in v^(d-1) f_j is
+    multinomial(d-1; mu - e_j) v^(mu - e_j)."""
+    low = _power(vals, n, d - 1, p)
+    # a trailing 0, which the table's missing monomials read
+    low = np.concatenate([low, np.zeros(low.shape[:-1] + (1,), dtype=np.int64)],
+                         axis=-1)
+    return _power(vals, n, d, p), low[..., _lower_index(n, d)]
 
 
 def _slice_block(vd: np.ndarray, m: int) -> np.ndarray:
@@ -183,19 +197,14 @@ def sample_point(rng: SeededRng, constraint: PointConstraint, m: int, n: int) ->
 def tangent_rows(point: Point, m: int, n: int, d: int, field: PrimeField) -> DenseMatrix:
     """The m + n + 2 spanning rows of the affine tangent space at [u (x) v^d].
 
-    Rows 0..m are e_i (x) v^d; rows m+1..m+n+1 are u (x) v^(d-1) f_j.  The
-    coefficient of f^mu in v^(d-1) f_j is multinomial(d-1; mu - e_j) v^(mu - e_j).
+    Rows 0..m are e_i (x) v^d; rows m+1..m+n+1 are u (x) v^(d-1) f_j.
     """
     if len(point.u) != m + 1 or len(point.v) != n + 1:
         raise ValueError("point has wrong factor lengths")
     if d < 1:
         raise ValueError("embedding degree must be >= 1")
     p = field.p
-    v = np.array(point.v, dtype=np.int64) % p
-    # v^(d-1) with a trailing 0, which the table's missing monomials read
-    vlow = np.append(_power(v, n, d - 1, p), 0)
-    mon = vlow[_lower_index(n, d)]
-    vd = _power(v, n, d, p)
+    vd, mon = power_rows(np.array(point.v, dtype=np.int64) % p, n, d, p)
     # products of residues stay below p^2 < 2^63; DenseMatrix reduces the
     # whole stack mod p once
     if m == 0:  # no V factor to broadcast over

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from secantdim.certificates import (OUTCOME_DEFICIENT, OUTCOME_TRUE, Verdict,
                                     witness_Rmm)
 from secantdim.field import (PRIMARY_PRIME, SECONDARY_PRIME, DenseMatrix,
                              PrimeField, SeededRng, derive_seed, rank)
-from secantdim.tensorspace import Point
+from secantdim.tensorspace import Point, PointConstraint, sample_point
 
 F = PrimeField(PRIMARY_PRIME)
 # The top supported modulus, as in test_field.py.
@@ -302,13 +303,26 @@ def _equivalence_cases():
         yield certificates.statement_config(st), ("S",) + st.key
 
 
-def _full_stack(m, n, d, field, windows, points, ys):
-    """Every row that _span_rank(m, n, d, field, windows, points, ys)
-    measures, stacked: windows, tangents, slices."""
+def _points(u, v):
+    """The points (u_i, v_i) for the rows of u and v."""
+    return [Point(tuple(a), tuple(b)) for a, b in zip(u.tolist(), v.tolist())]
+
+
+def _arrays(points, m, n):
+    """The u and v of points, stacked as _span_rank takes them."""
+    return (np.array([pt.u for pt in points], dtype=np.int64).reshape(-1, m + 1),
+            np.array([pt.v for pt in points], dtype=np.int64).reshape(-1, n + 1))
+
+
+def _full_stack(m, n, d, field, windows, u, v, ys):
+    """Every row that _span_rank(m, n, d, field, windows, u, v, ys)
+    measures, stacked: windows, tangents, slices, each built by the
+    single-point builders with the whole V factor."""
     mats = [certificates.subspace_rows(w.window(n), m, n, d, field)
             for w in windows]
-    mats += [certificates.tangent_rows(pt, m, n, d, field) for pt in points]
-    mats += [certificates.y_rows(y, m, n, d, field) for y in ys]
+    mats += [certificates.tangent_rows(pt, m, n, d, field) for pt in _points(u, v)]
+    mats += [certificates.y_rows(Point((1,) * (m + 1), tuple(y)), m, n, d, field)
+             for y in ys.tolist()]
     return field.matrix(np.vstack([mat.array for mat in mats]))
 
 
@@ -387,13 +401,14 @@ def test_change_of_basis_equals_full_stack_rank(field):
     for config, label in _basis_cases():
         m, n, d = config.m, config.n, config.d
         for trial in range(2):
-            points, ys = config.draw(SeededRng(derive_seed(0, *label, trial),
-                                               field))
+            u, v, ys = config.draw(SeededRng(derive_seed(0, *label, trial),
+                                             field))
+            points = _points(u, v)
             variants = [points]
             if len(points) >= 2:
                 variants += _with_dependent_u(points, m, field.p)
             for pts in variants:
-                args = (m, n, d, field, config.windows, pts, ys)
+                args = (m, n, d, field, config.windows, *_arrays(pts, m, n), ys)
                 got = certificates._span_rank(*args)
                 assert got == rank(_full_stack(*args)), (label, trial)
                 tail = pts[-(m + 1):]
@@ -407,19 +422,20 @@ def test_change_of_basis_equals_full_stack_rank(field):
 def _pair_draws(st, seed, field):
     """st's first draw in eval_statement, and the first point of the first
     draw for s + 1: the points eval_pair measures."""
-    points, ys = certificates.statement_config(st).draw(
+    u, v, ys = certificates.statement_config(st).draw(
         SeededRng(derive_seed(seed, "S", *st.key, 0), field))
     more = Statement(st.m, st.n, st.d, st.s + 1, st.t)
-    ceil_points, _ = certificates.statement_config(more).draw(
+    ceil_u, ceil_v, _ = certificates.statement_config(more).draw(
         SeededRng(derive_seed(seed, "S", *more.key, 0), field))
-    return points, ys, ceil_points[0]
+    return _points(u, v), ys, _points(ceil_u, ceil_v)[0]
 
 
 def _two_calls(st, field, points, ys, extra):
     """The oracle's ranks without and with the extra point."""
     args = (st.m, st.n, st.d, field, ())
-    return (certificates._span_rank(*args, points, ys),
-            certificates._span_rank(*args, points + [extra], ys))
+    return (certificates._span_rank(*args, *_arrays(points, st.m, st.n), ys),
+            certificates._span_rank(*args, *_arrays(points + [extra], st.m, st.n),
+                                    ys))
 
 
 @pytest.mark.parametrize("field", [F, TOP], ids=["F", "TOP"])
@@ -461,7 +477,8 @@ def test_pair_in_special_position(field):
         st = Statement(*key)
         points, ys, extra = _pair_draws(st, 0, field)
         for pts, ex in _special_pairs(points, extra, st.m, field.p):
-            got = certificates._span_rank(st.m, st.n, st.d, field, (), pts, ys, ex)
+            got = certificates._span_rank(st.m, st.n, st.d, field, (),
+                                          *_arrays(pts, st.m, st.n), ys, ex)
             if _u_rank(pts, field.p) < st.m + 1:
                 assert got is None, (key, pts)
                 none += 1
@@ -543,20 +560,120 @@ DRAW_PIN_MD5 = "529576bc5818b6a54da6f16b5969bc30"
 def test_configuration_draws_are_pinned():
     digest = hashlib.md5()
     for config, label in _equivalence_cases():
-        points, ys = config.draw(SeededRng(derive_seed(0, *label, 0), F))
         full = _full_stack(config.m, config.n, config.d, F, config.windows,
-                           points, ys)
+                           *config.draw(SeededRng(derive_seed(0, *label, 0), F)))
         digest.update(full.array.tobytes())
     assert digest.hexdigest() == DRAW_PIN_MD5
 
 
+# -- one stream call per configuration -----------------------------------------
+
+
+GENERIC, ON_L, ON_M = (PointConstraint.GENERIC, PointConstraint.ON_L,
+                       PointConstraint.ON_M)
+
+
+def _draw_point_by_point(config, rng):
+    """The configuration's points drawn one sample_point call at a time."""
+    m, n, s = config.m, config.n, len(config.tangents)
+    kinds = config.tangents + (GENERIC,) * config.slices
+    u, v = _arrays([sample_point(rng, kind, m, n) for kind in kinds], m, n)
+    return u[:s], v[:s], v[s:]
+
+
+def _assert_same_draws(got, want, where):
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and (a == b).all(), where
+
+
+def _mixes(m):
+    """Tangent constraints: every mix of three, the R certificates' run on
+    the window before m+1 generic points, and Q's two window runs."""
+    yield ()
+    yield from itertools.product((GENERIC, ON_L, ON_M), repeat=3)
+    yield (ON_L,) * 4 + (GENERIC,) * (m + 1)
+    yield (ON_L,) * (m + 1) + (ON_M,) * (m + 1)
+
+
+@pytest.mark.parametrize("field", [F, TOP], ids=["F", "TOP"])
+def test_batched_draw_equals_point_by_point(field):
+    """One stream call per configuration draws the points sample_point
+    draws one vector at a time, and leaves the stream at the same place."""
+    cases = 0
+    for m, n in itertools.product(range(0, 7), range(2, 7)):
+        for tangents in _mixes(m):
+            for slices in (0, 2):
+                config = certificates.Configuration(m, n, 2, (), tangents, slices)
+                seed = derive_seed(0, "batch", m, n, cases)
+                batched, single = SeededRng(seed, field), SeededRng(seed, field)
+                _assert_same_draws(config.draw(batched),
+                                   _draw_point_by_point(config, single),
+                                   (m, n, tangents, slices))
+                assert batched.elements(1) == single.elements(1)
+                cases += 1
+    assert cases == 35 * 30 * 2
+
+
+class _ZeroedRng(SeededRng):
+    """A stream whose first call comes out with the entries at zeroed set
+    to 0, and moves on as usual."""
+
+    def __init__(self, seed, field, zeroed):
+        super().__init__(seed, field)
+        self.zeroed = zeroed
+        self.calls = 0
+
+    def elements(self, count):
+        out = super().elements(count)
+        if self.calls == 0:
+            out[self.zeroed] = 0
+        self.calls += 1
+        return out
+
+
+@pytest.mark.parametrize("field", [F, TOP], ids=["F", "TOP"])
+def test_zero_vector_redraws_point_by_point(field):
+    """A zero u or v in the one stream call rewinds the stream and draws the
+    points with sample_point, which redraws that vector alone: the points
+    are those of a point-by-point draw without the zero."""
+    m, n = 2, 4
+    config = certificates.Configuration(m, n, 2, (), (ON_L, GENERIC, ON_M), 1)
+    kinds = config.tangents + (GENERIC,)
+    # the first point's u, and the last point's v
+    for zeroed in (slice(0, m + 1), slice(-(n + 1), None)):
+        for seed in range(3):
+            rng = _ZeroedRng(seed, field, zeroed)
+            got = config.draw(rng)
+            _assert_same_draws(got, _draw_point_by_point(config, SeededRng(seed, field)),
+                               (zeroed, seed))
+            # the one call, then two per point
+            assert rng.calls == 1 + 2 * len(kinds)
+
+
+def test_infeasible_window_raises_as_sample_point():
+    for n in (0, 1):
+        for kind in (ON_L, ON_M):
+            with pytest.raises(ValueError) as want:
+                sample_point(SeededRng(0, F), kind, 2, n)
+            config = certificates.Configuration(2, n, 2, (), (GENERIC, kind))
+            with pytest.raises(ValueError, match=re.escape(str(want.value))):
+                config.draw(SeededRng(0, F))
+
+
 def test_column_mismatch_raises(monkeypatch):
-    wide = certificates.tangent_rows
+    # the blocks a single-point builder makes: the V-slices, and the extra
+    # point of eval_pair
+    for name, run in (("y_rows", lambda: eval_statement(Statement(2, 3, 2, 4, 1))),
+                      ("tangent_rows",
+                       lambda: certificates.eval_pair(Statement(2, 3, 2, 4, 0)))):
+        wide = getattr(certificates, name)
 
-    def one_column_too_many(pt, m, n, d, field):
-        mat = wide(pt, m, n, d, field)
-        return DenseMatrix(np.hstack([mat.array, mat.array[:, :1]]), field)
+        def one_column_too_many(pt, m, n, d, field, wide=wide):
+            mat = wide(pt, m, n, d, field)
+            return DenseMatrix(np.hstack([mat.array, mat.array[:, :1]]), field)
 
-    monkeypatch.setattr(certificates, "tangent_rows", one_column_too_many)
-    with pytest.raises(ValueError, match="disagree on columns"):
-        eval_statement(Statement(2, 3, 2, 4, 0))
+        with monkeypatch.context() as patch:
+            patch.setattr(certificates, name, one_column_too_many)
+            with pytest.raises(ValueError, match="disagree on columns"):
+                run()
+        run()  # the real builder again

@@ -1,7 +1,10 @@
 """Static checks on the package source."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -35,3 +38,17 @@ def test_every_import_is_used(path):
     used |= _exported(tree)
     unused = [(name, line) for name, line in _imported(tree) if name not in used]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_import_loads_no_pool_or_command_line():
+    """`import secantdim` leaves the process pool and the command line to
+    first use, so the package imports in a fresh interpreter stay quick."""
+    deferred = ("concurrent.futures", "multiprocessing", "argparse",
+                "secantdim.cli")
+    code = ("import sys, secantdim\n"
+            f"print([name for name in {deferred!r} if name in sys.modules])")
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.stdout.strip() == "[]", done.stdout

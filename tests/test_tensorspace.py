@@ -6,9 +6,9 @@ import pytest
 from secantdim.field import PRIMARY_PRIME, PrimeField, SeededRng, derive_seed, rank
 from secantdim.bounds import ambient_dim
 from secantdim.tensorspace import (MonomialBasis, Point, PointConstraint,
-                                   monomial_basis, multinomial,
-                                   sample_point, subspace_rows, tangent_rows,
-                                   y_rows)
+                                   _power, monomial_basis, multinomial,
+                                   power_rows, sample_point, subspace_rows,
+                                   tangent_rows, y_rows)
 
 F = PrimeField(PRIMARY_PRIME)
 
@@ -165,6 +165,38 @@ def test_tangent_rows_match_monomial_loop(prime):
                     got = tangent_rows(pt, m, n, d, field).array.tolist()
                     assert got == _tangent_rows_by_monomial(pt, m, n, d, prime), \
                         (m, n, d, pt)
+
+
+@pytest.mark.parametrize("prime", [PRIMARY_PRIME, 3_037_000_493])
+def test_batched_power_matches_monomial_loop(prime):
+    """_power over an (s, n+1) stack gives every row's v^d, and power_rows
+    every row's v^(d-1) f_j, as the Python-int expansion does.  At the top
+    modulus the all-(p-1) row makes every product of residues (p-1)^2, near
+    2^63."""
+    field = PrimeField(prime)
+    rng = SeededRng(derive_seed(17, "batch", prime), field)
+    for n in range(0, 6):
+        for d in (1, 2, 3):
+            basis = monomial_basis(n, d)
+            for s in (0, 1, 4):
+                vals = rng.elements(s * (n + 1)).reshape(s, n + 1)
+                if s:
+                    vals[-1] = prime - 1
+                got = _power(vals, n, d, prime)
+                assert got.shape == (s, len(basis)), (n, d, s)
+                assert got.tolist() == [[_eval_power(v, mu, prime)
+                                         for mu in basis.exponents]
+                                        for v in vals.tolist()], (n, d, s)
+                # a second leading axis, one v per last-axis row
+                assert (_power(np.stack([vals, vals[::-1]]), n, d, prime)
+                        == np.stack([got, got[::-1]])).all()
+                vd, mon = power_rows(vals, n, d, prime)
+                assert mon.shape == (s, n + 1, len(basis)), (n, d, s)
+                assert vd.tolist() == got.tolist()
+                assert mon.tolist() == [
+                    _tangent_rows_by_monomial(Point((1,), tuple(v)), 0, n, d,
+                                              prime)[1:]
+                    for v in vals.tolist()], (n, d, s)
 
 
 def test_y_rows_are_slice_block():
