@@ -11,9 +11,11 @@ evidence of deficiency, cross-checked over a second prime before it is reported.
 A configuration's points come from one call on the seeded stream, with the
 values of one call per vector, so a seed reproduces the same points as
 drawing them one by one (``Configuration.draw``).  Their u and v stay
-stacked, and the rows v^d and v^(d-1) f_j of all tangent points are built in
-one pass; eval_pair's extra point, the V-slices and the window blocks use the
-single-point builders of tensorspace.
+stacked: the rows v^d and v^(d-1) f_j of all tangent points are built in one
+pass, and the V-slices in one y_rows call on their stacked v.  eval_pair's
+extra point is still drawn by sample_point and built by tangent_rows, and the
+window columns still come from subspace_rows, because the benchmark's tracer
+times drawing and row building through those names.
 
 The full stack is never eliminated.  Every block but the rows u (x) w,
 w = v^(d-1) f_j, spans V (x) Y' for Y' its m = 0 (Veronese) block.  With
@@ -65,11 +67,12 @@ from .field import (PRIMARY_PRIME, SECONDARY_PRIME, DenseMatrix, PrimeField,
                     SeededRng, derive_seed, gauss_jordan, rank, reduce_modulo,
                     reduce_rows)
 # Configuration points are drawn and built in batches (Configuration.draw,
-# _span_rank).  sample_point and tangent_rows still make eval_pair's extra
-# point, y_rows the V-slices and subspace_rows the window columns: these are
-# the names bench/tracing.py patches to time drawing and row building.
-from .tensorspace import (Point, PointConstraint, power_rows, sample_point,
-                          subspace_rows, tangent_rows, y_rows)
+# _span_rank), and y_rows builds all V-slices from their stacked v in one
+# call.  sample_point and tangent_rows still make eval_pair's extra point, a
+# single point, and subspace_rows the window columns: bench/tracing.py patches
+# these names here to time drawing and row building.
+from .tensorspace import (Point, PointConstraint, _on_v, power_rows,
+                          sample_point, subspace_rows, tangent_rows, y_rows)
 
 OUTCOME_TRUE = "true"
 OUTCOME_DEFICIENT = "deficient"
@@ -189,15 +192,15 @@ def _span_rank(m: int, n: int, d: int, field: PrimeField,
     tangents = ([] if extra is None
                 else [tangent_rows(Point((1,), extra.v), 0, n, d, field)])
     k = len(tangents)  # extra points: 0 or 1
-    slices = [y_rows(Point((1,), tuple(y)), 0, n, d, field) for y in ys.tolist()]
-    if any(mat.cols != nmon for mat in spans + tangents + slices):
+    slices = y_rows(ys, 0, n, d, field)
+    if any(mat.cols != nmon for mat in spans + tangents + [slices]):
         raise ValueError("configuration blocks disagree on columns")
     on_window = np.zeros(nmon, dtype=bool)
     for mat in spans:
         on_window |= mat.array.any(axis=0)
     keep = ~on_window
     vd, w = power_rows(v % p, n, d, p)
-    gens = [vd[:, keep]] + [mat.array[:, keep] for mat in slices]
+    gens = [vd[:, keep], slices.array[:, keep]]
     w_rows = w[:, :, keep].reshape(s * (n + 1), int(keep.sum()))
     if extra is not None:  # its v'^d is reduced modulo Y, not added to it
         tan = tangents[0].array[:, keep]
@@ -225,12 +228,11 @@ def _span_rank(m: int, n: int, d: int, field: PrimeField,
     # c_ia reduced mod p, so every product stays below p^2 < 2^63
     stack = np.repeat(coords[:, others], n + 1, axis=1)[:, live, None] * rows[live]
     if extra is not None:
-        # block a of the row e_b (x) v'^d is v'^d when a = b and 0 otherwise,
-        # and block a of the row sum_a c_a e_a (x) w' is c_a w'
-        diag = np.zeros((m + 1, m + 1, rest.shape[1]), dtype=np.int64)
-        diag[np.arange(m + 1), np.arange(m + 1)] = rest_extra[-1]
-        stack = np.concatenate(
-            [stack, diag, c_extra[:, :, None] * rest_extra[:-1]], axis=1)
+        # the rows e_b (x) v'^d, indexed [block a, row b] as stack is, and
+        # block a of the row sum_a c_a e_a (x) w' is c_a w'
+        diag = _on_v(rest_extra[-1:], m).reshape(m + 1, m + 1, -1)
+        stack = np.concatenate([stack, diag.transpose(1, 0, 2),
+                                c_extra[:, :, None] * rest_extra[:-1]], axis=1)
     stack %= p
     reduce_modulo(stack, blocks, pivots, p)
     # block a's pivot columns are zero now, and go with the other zero columns

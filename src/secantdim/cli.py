@@ -201,7 +201,6 @@ def cmd_prove(args) -> int:
 
 
 def cmd_strassen(args) -> int:
-    order = 3 * (2 * args.k + 2)
     if args.s is None:
         rng = SeededRng(derive_seed(args.seed, "strassen-gen", args.k), args.prime)
         tensor = random_tensor(rng, args.k)
@@ -214,13 +213,13 @@ def cmd_strassen(args) -> int:
     mat = strassen_matrix(tensor)
     r = rank(mat)
     pf = pfaffian(mat)
-    payload = {"k": args.k, "s": args.s, "source": source, "order": order,
+    payload = {"k": args.k, "s": args.s, "source": source, "order": tensor.order,
                "rank": r, "pfaffian": pf}
     if args.s is not None:
         payload["rank_bound"] = 2 * args.s
         payload["rank_le_2s"] = r <= 2 * args.s
     payload["pfaffian_zero"] = pf == 0
-    payload["full_rank"] = r == order
+    payload["full_rank"] = r == tensor.order
     _emit(json.dumps(payload) + "\n", args.out)
     if args.s is not None and r > 2 * args.s:
         return EXIT_ERROR

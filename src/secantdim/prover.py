@@ -127,11 +127,9 @@ class StatementStore:
 
 
 def _side_ok(child: Statement, side: Abundance) -> bool:
-    if side is Abundance.SUBABUNDANT:
-        return is_subabundant(child)
-    if side is Abundance.SUPERABUNDANT:
-        return is_superabundant(child)
-    return is_subabundant(child) and is_superabundant(child)
+    # an equiabundant side needs both
+    return ((side is Abundance.SUBABUNDANT or is_superabundant(child))
+            and (side is Abundance.SUPERABUNDANT or is_subabundant(child)))
 
 
 def _m0_truth(st: Statement) -> bool:
@@ -324,11 +322,13 @@ def check_proof(node: ProofNode, seed: int = 0, trials: int = 3,
     def fail(msg: str):
         raise ProofCheckError(f"{msg} at {st} [{rule}]")
 
+    leaf = rule in ("clamp_trivial", "base_AH", "base_rank_certificate")
+    if leaf and node.children:
+        fail("leaf rule with children")
+
     if rule == "clamp_trivial":
         if st.s != 0 or st.t != 0:
             fail("clamp_trivial needs s = t = 0")
-        if node.children:
-            fail("leaf rule with children")
         return
 
     if rule == "base_AH":
@@ -336,8 +336,6 @@ def check_proof(node: ProofNode, seed: int = 0, trials: int = 3,
             fail("base_AH needs m = 0")
         if not _m0_truth(st):
             fail("the exact m = 0 count does not support this leaf")
-        if node.children:
-            fail("leaf rule with children")
         return
 
     if rule == "base_rank_certificate":
@@ -345,8 +343,6 @@ def check_proof(node: ProofNode, seed: int = 0, trials: int = 3,
                                  field)
         if verdict.outcome != OUTCOME_TRUE:
             fail("rank certificate does not reproduce")
-        if node.children:
-            fail("leaf rule with children")
         return
 
     m = _SPLIT_RE.match(rule)

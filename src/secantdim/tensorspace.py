@@ -10,6 +10,10 @@ Conventions, fixed once for the whole package:
 * A power v^d expands as sum_mu multinomial(d; mu) v^mu f^mu.
 * Columns of every matrix are indexed by pairs (i, mu) flattened as
   i * len(basis) + index(mu), i.e. V-index major.
+* Rows are laid out the same way: a block V (x) span(b_0..b_(r-1)) of rows
+  b_k in S_d(W) has row i * r + k = e_i (x) b_k.  ``_on_v`` is the one place
+  that layout is built, for the rows e_i (x) v^d of a tangent space, the
+  V-slices (``y_rows``) and the window blocks (``subspace_rows``).
 
 The affine tangent space to the cone over the variety at p = [u (x) v^d] is
 spanned by the rows e_i (x) v^d (i = 0..m) and u (x) v^(d-1) f_j (j = 0..n);
@@ -146,11 +150,14 @@ def power_rows(vals: np.ndarray, n: int, d: int, p: int) -> tuple[np.ndarray, np
     return _power(vals, n, d, p), low[..., _lower_index(n, d)]
 
 
-def _slice_block(vd: np.ndarray, m: int) -> np.ndarray:
-    """The rows e_i (x) vd, i = 0..m."""
-    block = np.zeros((m + 1, m + 1, len(vd)), dtype=np.int64)
-    block[np.arange(m + 1), np.arange(m + 1)] = vd
-    return block.reshape(m + 1, -1)
+def _on_v(rows: np.ndarray, m: int) -> np.ndarray:
+    """The rows e_i (x) b_k spanning V (x) span(b_k), for the rows b_k of
+    rows, shape (r, N): row i * r + k is e_i (x) b_k, shape
+    ((m+1) r, (m+1) N)."""
+    r, nmon = rows.shape
+    out = np.zeros((m + 1, r, m + 1, nmon), dtype=np.int64)
+    out[np.arange(m + 1), :, np.arange(m + 1)] = rows
+    return out.reshape((m + 1) * r, (m + 1) * nmon)
 
 
 class PointConstraint(Enum):
@@ -187,10 +194,8 @@ def sample_point(rng: SeededRng, constraint: PointConstraint, m: int, n: int) ->
     if not window:
         raise ValueError(f"constraint {constraint.value} infeasible for n = {n}")
     u = rng.nonzero_vector(m + 1)
-    v = vals = rng.nonzero_vector(len(window))
-    if len(window) != n + 1:  # zero outside the window
-        v = np.zeros(n + 1, dtype=np.int64)
-        v[window] = vals
+    v = np.zeros(n + 1, dtype=np.int64)  # zero outside the window
+    v[window] = rng.nonzero_vector(len(window))
     return Point(tuple(u.tolist()), tuple(v.tolist()))
 
 
@@ -205,21 +210,20 @@ def tangent_rows(point: Point, m: int, n: int, d: int, field: PrimeField) -> Den
         raise ValueError("embedding degree must be >= 1")
     p = field.p
     vd, mon = power_rows(np.array(point.v, dtype=np.int64) % p, n, d, p)
+    u = np.array(point.u, dtype=np.int64) % p
     # products of residues stay below p^2 < 2^63; DenseMatrix reduces the
     # whole stack mod p once
-    if m == 0:  # no V factor to broadcast over
-        return DenseMatrix(np.vstack([vd, mon * (point.u[0] % p)]), field)
-    u = np.array(point.u, dtype=np.int64) % p
     derivs = (mon[:, None, :] * u[None, :, None]).reshape(n + 1, -1)
-    return DenseMatrix(np.vstack([_slice_block(vd, m), derivs]), field)
+    return DenseMatrix(np.vstack([_on_v(vd[None], m), derivs]), field)
 
 
-def y_rows(point: Point, m: int, n: int, d: int, field: PrimeField) -> DenseMatrix:
-    """Rows spanning V (x) v^d, the V-slice through the point."""
-    if len(point.u) != m + 1 or len(point.v) != n + 1:
-        raise ValueError("point has wrong factor lengths")
-    vd = _power(np.array(point.v, dtype=np.int64) % field.p, n, d, field.p)
-    return DenseMatrix(_slice_block(vd, m), field)
+def y_rows(vs: np.ndarray, m: int, n: int, d: int, field: PrimeField) -> DenseMatrix:
+    """Rows spanning the V-slices V (x) v^d at the rows v of vs, shape
+    (t, n+1): row i * t + k is e_i (x) v_k^d."""
+    if vs.ndim != 2 or vs.shape[1] != n + 1:
+        raise ValueError("slice points have wrong length")
+    p = field.p
+    return DenseMatrix(_on_v(_power(vs % p, n, d, p), m), field)
 
 
 def subspace_rows(indices: Sequence[int], m: int, n: int, d: int,
@@ -229,15 +233,9 @@ def subspace_rows(indices: Sequence[int], m: int, n: int, d: int,
     Row count is (m+1) * C(len(indices)-1+d, d); the rows are distinct unit
     vectors, so the block always has full row rank.
     """
-    idx = sorted(set(int(i) for i in indices))
+    idx = tuple(sorted(set(int(i) for i in indices)))
     if any(i < 0 or i > n for i in idx):
         raise ValueError("subspace indices outside 0..n")
-    nmon = len(monomial_basis(n, d))
-    cols = (m + 1) * nmon
-    if not idx:
-        return DenseMatrix(np.zeros((0, cols), dtype=np.int64), field)
-    # row i * len(window) + k is the unit vector e_i (x) (k-th window monomial)
-    ones = (np.arange(m + 1)[:, None] * nmon + _window_index(tuple(idx), n, d)).ravel()
-    arr = np.zeros((len(ones), cols), dtype=np.int64)
-    arr[np.arange(len(ones)), ones] = 1
-    return DenseMatrix(arr, field)
+    window = _window_index(idx, n, d) if idx else []
+    units = np.eye(len(monomial_basis(n, d)), dtype=np.int64)[window]
+    return DenseMatrix(_on_v(units, m), field)

@@ -321,8 +321,8 @@ def _full_stack(m, n, d, field, windows, u, v, ys):
     mats = [certificates.subspace_rows(w.window(n), m, n, d, field)
             for w in windows]
     mats += [certificates.tangent_rows(pt, m, n, d, field) for pt in _points(u, v)]
-    mats += [certificates.y_rows(Point((1,) * (m + 1), tuple(y)), m, n, d, field)
-             for y in ys.tolist()]
+    mats += [certificates.y_rows(ys[k:k + 1], m, n, d, field)
+             for k in range(len(ys))]
     return field.matrix(np.vstack([mat.array for mat in mats]))
 
 
@@ -668,12 +668,33 @@ def test_column_mismatch_raises(monkeypatch):
                        lambda: certificates.eval_pair(Statement(2, 3, 2, 4, 0)))):
         wide = getattr(certificates, name)
 
-        def one_column_too_many(pt, m, n, d, field, wide=wide):
-            mat = wide(pt, m, n, d, field)
-            return DenseMatrix(np.hstack([mat.array, mat.array[:, :1]]), field)
+        def one_column_too_many(*args, wide=wide):
+            mat = wide(*args)
+            return DenseMatrix(np.hstack([mat.array, mat.array[:, :1]]), mat.field)
 
         with monkeypatch.context() as patch:
             patch.setattr(certificates, name, one_column_too_many)
             with pytest.raises(ValueError, match="disagree on columns"):
                 run()
         run()  # the real builder again
+
+
+def test_slices_are_built_in_one_call(monkeypatch):
+    """_span_rank builds all its V-slices with one y_rows call on their
+    stacked v, with or without eval_pair's extra point."""
+    calls, per_call = [], []
+    y_rows, span_rank = certificates.y_rows, certificates._span_rank
+    monkeypatch.setattr(certificates, "y_rows",
+                        lambda *args: calls.append(args) or y_rows(*args))
+
+    def counted(*args):
+        calls.clear()
+        out = span_rank(*args)
+        per_call.append(len(calls))
+        return out
+
+    monkeypatch.setattr(certificates, "_span_rank", counted)
+    assert eval_statement(Statement(2, 3, 2, 2, 3)).outcome == OUTCOME_TRUE
+    assert certificates.eval_pair(Statement(1, 2, 2, 2, 3)) is not None
+    assert certify_Q(2, 4).outcome == OUTCOME_TRUE
+    assert per_call and max(per_call) <= 1

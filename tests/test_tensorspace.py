@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from secantdim.field import PRIMARY_PRIME, PrimeField, SeededRng, derive_seed, rank
+from secantdim.field import (PRIMARY_PRIME, SECONDARY_PRIME, PrimeField,
+                             SeededRng, derive_seed, rank)
 from secantdim.bounds import ambient_dim
 from secantdim.tensorspace import (MonomialBasis, Point, PointConstraint,
                                    _power, monomial_basis, multinomial,
@@ -50,10 +51,11 @@ def test_eval_power_and_power_row():
     # at m = 0 y_rows is the single row v^d, each entry carrying the
     # multinomial coefficient of its monomial:
     # (3 x + 5 y)^2 = 9 x^2 + 30 x y + 25 y^2
-    row = y_rows(Point((1,), (3, 5)), 0, 1, 2, F)
+    row = y_rows(np.array([[3, 5]]), 0, 1, 2, F)
     assert row.array.tolist() == [[9, 30, 25]]
-    with pytest.raises(ValueError):
-        y_rows(Point((1,), (3, 5, 7)), 0, 1, 2, F)
+    for wrong in (np.array([[3, 5, 7]]), np.array([3, 5])):
+        with pytest.raises(ValueError):
+            y_rows(wrong, 0, 1, 2, F)
 
 
 @pytest.mark.parametrize("prime", [PRIMARY_PRIME, 3_037_000_493])
@@ -65,7 +67,7 @@ def test_power_row_matches_monomial_loop(prime):
             basis = monomial_basis(n, d)
             for v in (rng.elements(n + 1).tolist(), [prime - 1] * (n + 1),
                       [0] * n + [prime - 1]):
-                row = y_rows(Point((1,), tuple(v)), 0, n, d, field)
+                row = y_rows(np.array([v]), 0, n, d, field)
                 got = row.array[0].tolist()
                 assert got == [_eval_power(v, mu, prime)
                                for mu in basis.exponents], (n, d, v)
@@ -155,8 +157,8 @@ def test_tangent_rows_match_monomial_loop(prime):
                 top = Point((prime - 1,) * (m + 1), (prime - 1,) * (n + 1))
                 pts = [sample_point(rng, PointConstraint.GENERIC, m, n), top]
                 if m == 0:
-                    # the oracle passes u = (1,); m = 0 has its own path, so
-                    # other u, and v with zeros, go through it too
+                    # the oracle passes u = (1,); other u at m = 0, and v
+                    # with zeros, are built the same way
                     v = sample_point(rng, PointConstraint.GENERIC, m, n).v
                     pts += [Point((1,), v), Point((prime - 1,), v),
                             Point((int(rng.elements(1)[0]) or 1,),
@@ -200,10 +202,29 @@ def test_batched_power_matches_monomial_loop(prime):
 
 
 def test_y_rows_are_slice_block():
-    pt = Point((1, 2), (3, 5))
-    y = y_rows(pt, 1, 1, 2, F)
+    y = y_rows(np.array([[3, 5]]), 1, 1, 2, F)
     assert y.array.tolist() == [[9, 30, 25, 0, 0, 0], [0, 0, 0, 9, 30, 25]]
     assert rank(y) == 2
+
+
+@pytest.mark.parametrize("prime", [PRIMARY_PRIME, SECONDARY_PRIME, 3_037_000_493])
+def test_y_rows_on_a_stack_are_the_per_row_blocks(prime):
+    """y_rows on t stacked v gives row i * t + k = e_i (x) v_k^d, row i of
+    the block of v_k alone; no v gives no rows."""
+    field = PrimeField(prime)
+    rng = SeededRng(derive_seed(18, "slices", prime), field)
+    for m in (0, 2):
+        for n in (1, 3):
+            cols = ambient_dim(m, n, 2)
+            for t in (0, 1, 3):
+                vs = rng.elements(t * (n + 1)).reshape(t, n + 1)
+                if t:
+                    vs[-1] = prime - 1
+                got = y_rows(vs, m, n, 2, field).array
+                assert got.shape == ((m + 1) * t, cols), (m, n, t)
+                for k in range(t):
+                    block = y_rows(vs[k:k + 1], m, n, 2, field).array
+                    assert (got[k::t] == block).all(), (m, n, t, k)
 
 
 def test_subspace_rows_unit_block():
