@@ -8,14 +8,16 @@ rank over F_p.  Rank is lower semicontinuous, so measuring the expected
 dimension at one specialization proves the statement; a shortfall is only
 evidence of deficiency, cross-checked over a second prime before it is reported.
 
-A configuration's points come from one call on the seeded stream, with the
-values of one call per vector, so a seed reproduces the same points as
-drawing them one by one (``Configuration.draw``).  Their u and v stay
-stacked: the rows v^d and v^(d-1) f_j of all tangent points are built in one
-pass, and the V-slices in one y_rows call on their stacked v.  eval_pair's
-extra point is still drawn by sample_point and built by tangent_rows, and the
-window columns still come from subspace_rows, because the benchmark's tracer
-times drawing and row building through those names.
+A configuration's points come from one sample_points call on the seeded
+stream (``Configuration.draw``).  A u or v that comes out zero is kept: the
+configuration is then a specialization, so its rank is at most the general
+one, a `true` verdict is still a proof, and a short rank is a failed trial
+like any other.  The u and v stay stacked: the rows v^d and v^(d-1) f_j of
+all tangent points are built in one pass, and the V-slices in one y_rows
+call on their stacked v.  eval_pair's extra point is still drawn by
+sample_point and built by tangent_rows, and the window columns still come
+from subspace_rows, because the benchmark's tracer times drawing and row
+building through those names.
 
 The full stack is never eliminated.  Every block but the rows u (x) w,
 w = v^(d-1) f_j, spans V (x) Y' for Y' its m = 0 (Veronese) block.  With
@@ -66,13 +68,14 @@ from .bounds import Statement, ambient_dim, expected_dim, s_over, s_under
 from .field import (PRIMARY_PRIME, SECONDARY_PRIME, DenseMatrix, PrimeField,
                     SeededRng, derive_seed, gauss_jordan, rank, reduce_modulo,
                     reduce_rows)
-# Configuration points are drawn and built in batches (Configuration.draw,
+# Configuration points are drawn and built in batches (sample_points,
 # _span_rank), and y_rows builds all V-slices from their stacked v in one
 # call.  sample_point and tangent_rows still make eval_pair's extra point, a
 # single point, and subspace_rows the window columns: bench/tracing.py patches
 # these names here to time drawing and row building.
 from .tensorspace import (Point, PointConstraint, _on_v, power_rows,
-                          sample_point, subspace_rows, tangent_rows, y_rows)
+                          sample_point, sample_points, subspace_rows,
+                          tangent_rows, y_rows)
 
 OUTCOME_TRUE = "true"
 OUTCOME_DEFICIENT = "deficient"
@@ -112,34 +115,14 @@ class Configuration:
 
     def draw(self, rng: SeededRng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The tangent points' u, shape (s, m+1), and v, shape (s, n+1), and
-        the V-slice points' v, shape (t, n+1).  Each point draws its u, then
-        its v on its window (zero off it), tangent points first, all in one
-        call on the stream, whose values are those of sample_point's one
-        call per vector.  When a vector comes out zero, the stream is
-        rewound and drawn point by point with sample_point, which redraws
-        that vector alone; an empty window raises there too."""
-        m, n, s = self.m, self.n, len(self.tangents)
-        kinds = self.tangents + (PointConstraint.GENERIC,) * self.slices
-        distinct = list(dict.fromkeys(kinds))
-        windows = [kind.window(n) for kind in distinct]
-        if all(windows):
-            # the entries a point of each kind draws into its u and its v
-            drawn_by = np.zeros((len(distinct), m + n + 2), dtype=bool)
-            drawn_by[:, :m + 1] = True
-            for row, window in zip(drawn_by, windows):
-                row[[m + 1 + j for j in window]] = True
-            # every point's entries, in row-major order: the draw order
-            mask = drawn_by[[distinct.index(kind) for kind in kinds]]
-            state = rng.state
-            drawn = np.zeros(mask.shape, dtype=np.int64)
-            drawn[mask] = rng.elements(int(mask.sum()))
-            u, v = drawn[:, :m + 1], drawn[:, m + 1:]
-            if u.any(axis=1).all() and v.any(axis=1).all():
-                return u[:s], v[:s], v[s:]
-            rng.state = state
-        points = [sample_point(rng, kind, m, n) for kind in kinds]
-        u = np.array([pt.u for pt in points], dtype=np.int64).reshape(-1, m + 1)
-        v = np.array([pt.v for pt in points], dtype=np.int64).reshape(-1, n + 1)
+        the V-slice points' v, shape (t, n+1), from one sample_points call:
+        tangent points first, then the V-slices at generic points.  A zero u
+        or v is kept: the rank is then that of a specialization, at most the
+        general one."""
+        s = len(self.tangents)
+        u, v = sample_points(rng, self.tangents
+                             + (PointConstraint.GENERIC,) * self.slices,
+                             self.m, self.n)
         return u[:s], v[:s], v[s:]
 
 
@@ -192,15 +175,15 @@ def _span_rank(m: int, n: int, d: int, field: PrimeField,
     tangents = ([] if extra is None
                 else [tangent_rows(Point((1,), extra.v), 0, n, d, field)])
     k = len(tangents)  # extra points: 0 or 1
-    slices = y_rows(ys, 0, n, d, field)
-    if any(mat.cols != nmon for mat in spans + tangents + [slices]):
+    slices = [y_rows(ys, 0, n, d, field)] if len(ys) else []
+    if any(mat.cols != nmon for mat in spans + tangents + slices):
         raise ValueError("configuration blocks disagree on columns")
     on_window = np.zeros(nmon, dtype=bool)
     for mat in spans:
         on_window |= mat.array.any(axis=0)
     keep = ~on_window
     vd, w = power_rows(v % p, n, d, p)
-    gens = [vd[:, keep], slices.array[:, keep]]
+    gens = [vd[:, keep]] + [mat.array[:, keep] for mat in slices]
     w_rows = w[:, :, keep].reshape(s * (n + 1), int(keep.sum()))
     if extra is not None:  # its v'^d is reduced modulo Y, not added to it
         tan = tangents[0].array[:, keep]
@@ -278,7 +261,8 @@ def eval_pair(st: Statement, seed: int = 0,
               field: PrimeField = PrimeField()) -> tuple[int, int] | None:
     """Ranks for st and for st with one more point, from one elimination:
     st's own first draw in eval_statement, then that draw plus the first
-    point of the first draw for s + 1.  Each rank is exact for its
+    point of the first draw for s + 1 (sample_point, which draws that point
+    again if its u or v is zero).  Each rank is exact for its
     specialization, so one that reaches its expected dimension proves its
     statement; a short one proves nothing.  None when the u of st's draw do
     not span V."""

@@ -121,9 +121,6 @@ class PrimeField:
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
-    def matrix(self, entries) -> "DenseMatrix":
-        return DenseMatrix(entries, self)
-
 
 class DenseMatrix:
     """Dense matrix over a prime field, stored as an int64 array of residues."""
@@ -380,37 +377,20 @@ class SeededRng:
     """Deterministic stream of field elements.
 
     Wraps numpy's PCG64 generator, whose integer streams are stable across
-    platforms for a fixed seed.
+    platforms for a fixed seed.  tensorspace.sample_points turns the stream
+    into point coordinates.
     """
 
     def __init__(self, seed: int, field: PrimeField):
-        self.seed = seed
         self.field = field
         self._gen = np.random.Generator(np.random.PCG64(seed))
 
     def elements(self, count: int) -> np.ndarray:
-        """count elements.  One call draws the same values as consecutive
-        calls whose counts add up to count: every supported p is below 2^32,
-        and PCG64 keeps its spare 32-bit half in its state between calls."""
+        """count elements, zero included.  One call draws the same values as
+        consecutive calls whose counts add up to count: every supported p is
+        below 2^32, and PCG64 keeps its spare 32-bit half in its state
+        between calls."""
         return self._gen.integers(0, self.field.p, size=count, dtype=np.int64)
-
-    @property
-    def state(self) -> dict:
-        """The generator's position in the stream; assigning a saved state
-        rewinds it there."""
-        return self._gen.bit_generator.state
-
-    @state.setter
-    def state(self, saved: dict) -> None:
-        self._gen.bit_generator.state = saved
-
-    def nonzero_vector(self, length: int) -> np.ndarray:
-        if length <= 0:
-            raise ValueError("nonzero vector needs positive length")
-        while True:
-            v = self.elements(length)
-            if v.any():
-                return v
 
 
 def derive_seed(root: int, *parts: int | str) -> int:

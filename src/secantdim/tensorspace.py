@@ -189,14 +189,34 @@ class Point:
             raise ValueError("point factors must be nonzero")
 
 
+def sample_points(rng: SeededRng, constraints: Sequence[PointConstraint],
+                  m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The u, shape (k, m+1), and v, shape (k, n+1), of one point per
+    constraint, from one call on the stream: each point draws its u, then
+    its v on its window (zero off it), in order.  A zero u or v is kept as
+    drawn.  Raises ValueError for a constraint with an empty window."""
+    kinds = list(dict.fromkeys(constraints))
+    # the entries a point of each kind draws into its u and its v
+    drawn_by = np.zeros((len(kinds), m + n + 2), dtype=bool)
+    drawn_by[:, :m + 1] = True
+    for row, kind in zip(drawn_by, kinds):
+        window = kind.window(n)
+        if not window:
+            raise ValueError(f"constraint {kind.value} infeasible for n = {n}")
+        row[[m + 1 + j for j in window]] = True
+    # every point's entries, in row-major order: the draw order
+    mask = drawn_by[[kinds.index(kind) for kind in constraints]]
+    drawn = np.zeros(mask.shape, dtype=np.int64)
+    drawn[mask] = rng.elements(int(mask.sum()))
+    return drawn[:, :m + 1], drawn[:, m + 1:]
+
+
 def sample_point(rng: SeededRng, constraint: PointConstraint, m: int, n: int) -> Point:
-    window = constraint.window(n)
-    if not window:
-        raise ValueError(f"constraint {constraint.value} infeasible for n = {n}")
-    u = rng.nonzero_vector(m + 1)
-    v = np.zeros(n + 1, dtype=np.int64)  # zero outside the window
-    v[window] = rng.nonzero_vector(len(window))
-    return Point(tuple(u.tolist()), tuple(v.tolist()))
+    """One point of sample_points, drawn again while its u or v is zero."""
+    while True:
+        u, v = sample_points(rng, (constraint,), m, n)
+        if u.any() and v.any():
+            return Point(tuple(u[0].tolist()), tuple(v[0].tolist()))
 
 
 def tangent_rows(point: Point, m: int, n: int, d: int, field: PrimeField) -> DenseMatrix:

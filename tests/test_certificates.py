@@ -17,7 +17,8 @@ from secantdim.certificates import (OUTCOME_DEFICIENT, OUTCOME_TRUE, Verdict,
                                     witness_Rmm)
 from secantdim.field import (PRIMARY_PRIME, SECONDARY_PRIME, DenseMatrix,
                              PrimeField, SeededRng, derive_seed, rank)
-from secantdim.tensorspace import Point, PointConstraint, sample_point
+from secantdim.tensorspace import (Point, PointConstraint, sample_point,
+                                   sample_points)
 
 F = PrimeField(PRIMARY_PRIME)
 # The top supported modulus, as in test_field.py.
@@ -323,7 +324,7 @@ def _full_stack(m, n, d, field, windows, u, v, ys):
     mats += [certificates.tangent_rows(pt, m, n, d, field) for pt in _points(u, v)]
     mats += [certificates.y_rows(ys[k:k + 1], m, n, d, field)
              for k in range(len(ys))]
-    return field.matrix(np.vstack([mat.array for mat in mats]))
+    return DenseMatrix(np.vstack([mat.array for mat in mats]), field)
 
 
 def test_quotient_rank_equals_full_stack_rank(monkeypatch):
@@ -631,23 +632,58 @@ class _ZeroedRng(SeededRng):
         return out
 
 
+def test_sample_point_redraws_a_zero_point():
+    """A first draw with a zero u or v is drawn again whole: the point is
+    the stream's next one, and the stream reads on as after two points."""
+    m, n = 2, 4
+    for zeroed in (slice(0, m + 1), slice(m + 1, None)):
+        for seed in range(3):
+            rng, plain = _ZeroedRng(seed, F, zeroed), SeededRng(seed, F)
+            got = sample_point(rng, ON_M, m, n)
+            sample_points(plain, (ON_M,), m, n)
+            assert got == sample_point(plain, ON_M, m, n), (zeroed, seed)
+            assert rng.calls == 2 and rng.elements(1) == plain.elements(1)
+
+
+def _specialized_stack(m, n, d, field, windows, u, v, ys):
+    """_full_stack for a draw with zero factors: a point with u = 0 spans
+    only V (x) v^d, a V-slice, and a point with v = 0 spans nothing."""
+    whole = u.any(axis=1) & v.any(axis=1)
+    slices = np.vstack([ys, v[~u.any(axis=1)]])
+    return _full_stack(m, n, d, field, windows, u[whole], v[whole], slices)
+
+
 @pytest.mark.parametrize("field", [F, TOP], ids=["F", "TOP"])
-def test_zero_vector_redraws_point_by_point(field):
-    """A zero u or v in the one stream call rewinds the stream and draws the
-    points with sample_point, which redraws that vector alone: the points
-    are those of a point-by-point draw without the zero."""
+def test_zero_vector_is_kept_as_drawn(field, monkeypatch):
+    """A zero u or v in a configuration's one stream call comes back as
+    drawn, and the stream moves on by that call alone.  The oracle measures
+    that specialization: the rank of its full stack, at most the expected
+    one, and a short rank is a failed trial, not an error."""
     m, n = 2, 4
     config = certificates.Configuration(m, n, 2, (), (ON_L, GENERIC, ON_M), 1)
-    kinds = config.tangents + (GENERIC,)
+    st, more = Statement(m, n, 2, 5, 1), Statement(m, n, 2, 6, 1)
     # the first point's u, and the last point's v
-    for zeroed in (slice(0, m + 1), slice(-(n + 1), None)):
+    for zeroed, point, part in ((slice(0, m + 1), 0, 0),
+                                (slice(-(n + 1), None), -1, 2)):
         for seed in range(3):
-            rng = _ZeroedRng(seed, field, zeroed)
-            got = config.draw(rng)
-            _assert_same_draws(got, _draw_point_by_point(config, SeededRng(seed, field)),
-                               (zeroed, seed))
-            # the one call, then two per point
-            assert rng.calls == 1 + 2 * len(kinds)
+            rng, plain = _ZeroedRng(seed, field, zeroed), SeededRng(seed, field)
+            got, want = config.draw(rng), config.draw(plain)
+            want[part][point] = 0
+            _assert_same_draws(got, want, (zeroed, seed))
+            assert rng.calls == 1 and rng.elements(1) == plain.elements(1)
+            args = (m, n, 2, field, config.windows, *got)
+            assert (certificates._span_rank(*args)
+                    == rank(_specialized_stack(*args))), (zeroed, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(certificates, "SeededRng",
+                          lambda seed, fld: _ZeroedRng(seed, fld, zeroed))
+            # every trial's draw is zeroed, so every trial falls short
+            verdict = eval_statement(st, trials=2, field=field)
+            assert verdict.rank <= expected_dim(st), zeroed
+            assert (verdict.outcome, verdict.trials) == (OUTCOME_DEFICIENT, 2)
+            pair = certificates.eval_pair(st, field=field)
+            assert pair is None or (pair[0] <= expected_dim(st)
+                                    and pair[1] <= expected_dim(more)), zeroed
 
 
 def test_infeasible_window_raises_as_sample_point():
@@ -681,7 +717,8 @@ def test_column_mismatch_raises(monkeypatch):
 
 def test_slices_are_built_in_one_call(monkeypatch):
     """_span_rank builds all its V-slices with one y_rows call on their
-    stacked v, with or without eval_pair's extra point."""
+    stacked v, with or without eval_pair's extra point, and calls y_rows
+    not at all when there are none."""
     calls, per_call = [], []
     y_rows, span_rank = certificates.y_rows, certificates._span_rank
     monkeypatch.setattr(certificates, "y_rows",
@@ -696,5 +733,10 @@ def test_slices_are_built_in_one_call(monkeypatch):
     monkeypatch.setattr(certificates, "_span_rank", counted)
     assert eval_statement(Statement(2, 3, 2, 2, 3)).outcome == OUTCOME_TRUE
     assert certificates.eval_pair(Statement(1, 2, 2, 2, 3)) is not None
+    assert per_call == [1, 1]
+    per_call.clear()
+    assert eval_statement(Statement(2, 3, 2, 4, 0)).outcome == OUTCOME_TRUE
+    assert certificates.eval_pair(Statement(1, 2, 2, 2, 0)) is not None
     assert certify_Q(2, 4).outcome == OUTCOME_TRUE
-    assert per_call and max(per_call) <= 1
+    assert witness_Rmm(3) is True
+    assert per_call == [0, 0, 0, 0]

@@ -34,13 +34,13 @@ def test_field_validation():
 
 
 def test_rank_basics():
-    m = F.matrix([[1, 2], [2, 4]])
+    m = DenseMatrix([[1, 2], [2, 4]], F)
     assert rank(m) == 1
-    assert rank(F.matrix([[0, 0], [0, 0]])) == 0
-    assert rank(F.matrix([[1, 0, 3], [0, 1, 4]])) == 2
-    ident = F.matrix(np.eye(6, dtype=np.int64))
+    assert rank(DenseMatrix([[0, 0], [0, 0]], F)) == 0
+    assert rank(DenseMatrix([[1, 0, 3], [0, 1, 4]], F)) == 2
+    ident = DenseMatrix(np.eye(6, dtype=np.int64), F)
     assert rank(ident) == 6
-    assert rank(F.matrix(np.zeros((0, 5), dtype=np.int64))) == 0
+    assert rank(DenseMatrix(np.zeros((0, 5), dtype=np.int64), F)) == 0
 
 
 def test_rank_random_products():
@@ -63,14 +63,14 @@ def test_vstack_rank_additivity():
 
 
 def test_det_sign_and_singular():
-    assert det(F.matrix([[2, 0], [0, 3]])) == 6
-    assert det(F.matrix([[0, 1], [1, 0]])) == F.p - 1
-    assert det(F.matrix([[1, 2], [2, 4]])) == 0
+    assert det(DenseMatrix([[2, 0], [0, 3]], F)) == 6
+    assert det(DenseMatrix([[0, 1], [1, 0]], F)) == F.p - 1
+    assert det(DenseMatrix([[1, 2], [2, 4]], F)) == 0
 
 
 def test_pfaffian_closed_forms():
     a = 7
-    m2 = F.matrix([[0, a], [F.p - a, 0]])
+    m2 = DenseMatrix([[0, a], [F.p - a, 0]], F)
     assert pfaffian(m2) == a
     # order 4: Pf = a*f - b*e + c*d
     vals = dict(a=3, b=5, c=11, d=2, e=9, f=4)
@@ -79,12 +79,12 @@ def test_pfaffian_closed_forms():
           [-vals["b"], -vals["d"], 0, vals["f"]],
           [-vals["c"], -vals["e"], -vals["f"], 0]]
     expect = vals["a"] * vals["f"] - vals["b"] * vals["e"] + vals["c"] * vals["d"]
-    assert pfaffian(F.matrix(m4)) == expect % F.p
+    assert pfaffian(DenseMatrix(m4, F)) == expect % F.p
 
 
 def test_pfaffian_odd_order_rejected():
     with pytest.raises(ValueError):
-        pfaffian(F.matrix([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]))
+        pfaffian(DenseMatrix([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]], F))
 
 
 def _random_skew(rng, order):
@@ -353,7 +353,7 @@ def test_reduce_rows_measures_the_quotient():
     rows = rng.elements((5, 7))
     dim_y, reduced = reduce_rows(gens, rows, F.p)
     assert reduced.shape == (5, 7 - dim_y)
-    assert dim_y + rank(F.matrix(reduced)) == rank(F.matrix(np.vstack([gens, rows])))
+    assert dim_y + rank(DenseMatrix(reduced, F)) == rank(DenseMatrix(np.vstack([gens, rows]), F))
     # rows already in Y reduce to zero, and the inputs are left as they were
     before = gens.copy()
     dim_y, reduced = reduce_rows(gens, gens, F.p)
@@ -366,13 +366,6 @@ def test_seeded_rng_deterministic():
     assert first == [191664963, 1662057957, 1405681631, 942484272, 929893137]
     assert SeededRng(42, F).elements(5).tolist() == first
     assert SeededRng(43, F).elements(5).tolist() != first
-
-
-def test_nonzero_vector():
-    rng = SeededRng(derive_seed(1, "nz"), F)
-    for _ in range(100):
-        v = rng.nonzero_vector(4)
-        assert v.shape == (4,) and np.any(v != 0)
 
 
 def test_derive_seed_frozen_values():

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from secantdim.field import (PRIMARY_PRIME, SECONDARY_PRIME, PrimeField,
-                             SeededRng, derive_seed, rank)
+from secantdim.field import (PRIMARY_PRIME, SECONDARY_PRIME, DenseMatrix,
+                             PrimeField, SeededRng, derive_seed, rank)
 from secantdim.bounds import ambient_dim
 from secantdim.tensorspace import (MonomialBasis, Point, PointConstraint,
                                    _power, monomial_basis, multinomial,
@@ -244,7 +244,7 @@ def test_tangent_on_l_mod_subspace():
         sub = subspace_rows(PointConstraint.ON_L.window(n), m, n, 2, F)
         pt = sample_point(rng, PointConstraint.ON_L, m, n)
         tangent = tangent_rows(pt, m, n, 2, F)
-        assert rank(F.matrix(np.vstack([sub.array, tangent.array]))) == sub.rows + 2
+        assert rank(DenseMatrix(np.vstack([sub.array, tangent.array]), F)) == sub.rows + 2
 
 
 def test_degree_one_embedding():
