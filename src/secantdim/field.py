@@ -342,7 +342,7 @@ def pfaffian(m: DenseMatrix) -> int:
     column swaps flip the sign.
     """
     p = m.field.p
-    a = np.array(m.array, dtype=np.int64) % p
+    a = m.array % p
     n = a.shape[0]
     if n != a.shape[1]:
         raise ValueError("pfaffian of a non-square matrix")

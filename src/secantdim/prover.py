@@ -267,15 +267,14 @@ class Prover:
         s = s_over(m, n) (kind "Rover"): the window certificate for (m, n)
         plus the same chain at n - 2, down to a base case the search proves.
         s_under vanishes only at the base case n = m - 2, where the search
-        records clamp_trivial.  The Runder chain reaches n = -1 from (1, 1)."""
-        if n < 0:
-            return None
+        records clamp_trivial.  The m = 1 Runder chain stops at n = 0 or 1,
+        where the search proves T(1, n; n + 1) by a split."""
         under = kind == "Runder"
         st = Statement(m, n, 2, s_under(m, n) if under else s_over(m, n), 0)
         node = self.store.proof(st)
         if node is not None:
             return node
-        if (n <= m - 1) if under else (n <= 1 or (m, n) == (2, 2)):
+        if (n <= max(m - 1, 1)) if under else (n <= 1 or (m, n) == (2, 2)):
             return self._prove(st, anchors=False)
         # chosen per call: bench/tracing.py patches these module names
         certify = certify_R_under if under else certify_R_over

@@ -14,17 +14,20 @@ rank S_phi <= 2s, so for s = 3k+2 the Pfaffian of S_phi (a polynomial of
 degree 3(k+1) in phi) vanishes identically on the s-th secant cone, while a
 generic phi gives full rank.  That separates the secant cone from the
 generic orbit and certifies the defect of sigma_{3k+2}.
+
+s points are drawn in one sample_points call, as u (s, 3) and v (s, 2k+2).
+A zero u or v is kept as drawn: it only drops a term from phi, so Pf(S_phi)
+still vanishes and rank S_phi <= 2s still holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .field import DenseMatrix, PrimeField, SeededRng, pfaffian
-from .tensorspace import Point, PointConstraint, sample_point
+from .tensorspace import PointConstraint, sample_points
 
 
 @dataclass(frozen=True)
@@ -48,15 +51,15 @@ class SymTensor3:
         return 3 * (2 * self.k + 2)
 
 
-def slices_from_points(points: Sequence[Point], k: int,
+def slices_from_points(points: tuple[np.ndarray, np.ndarray], k: int,
                        field: PrimeField) -> SymTensor3:
-    """phi = sum_i u_i (x) v_i^2, slice a = sum_i u_i[a] * v_i v_i^T."""
-    w = 2 * k + 2
+    """phi = sum_i u_i (x) v_i^2 over the rows of points = (u, v), slice
+    a = sum_i u_i[a] * v_i v_i^T."""
+    u, v = points
+    if u.shape[1:] != (3,) or v.shape != (len(u), 2 * k + 2):
+        raise ValueError("points have wrong factor lengths for this k")
     p = field.p
-    if any(len(pt.u) != 3 or len(pt.v) != w for pt in points):
-        raise ValueError("point has wrong factor lengths for this k")
-    u = np.array([pt.u for pt in points], dtype=np.int64).reshape(-1, 3) % p
-    v = np.array([pt.v for pt in points], dtype=np.int64).reshape(-1, w) % p
+    u, v = u % p, v % p
     outer = v[:, :, None] * v[:, None, :] % p
     # [a, i] = u_i[a] v_i v_i^T mod p, below p, so the sum over the s
     # points stays below s p < 2^63
@@ -65,34 +68,28 @@ def slices_from_points(points: Sequence[Point], k: int,
 
 
 def random_tensor(rng: SeededRng, k: int) -> SymTensor3:
-    """Generic phi: three independent symmetric slices."""
+    """Generic phi: three independent symmetric slices, in one stream call."""
     w = 2 * k + 2
-    p = rng.field.p
-    slices = []
-    for _ in range(3):
-        a = rng.elements(w * w).reshape(w, w)
-        slices.append((a + a.T) % p)
-    return SymTensor3(k, tuple(slices), rng.field)
+    a = rng.elements(3 * w * w).reshape(3, w, w)
+    return SymTensor3(k, tuple((a + a.transpose(0, 2, 1)) % rng.field.p),
+                      rng.field)
 
 
-def random_points(rng: SeededRng, count: int, k: int) -> list[Point]:
-    """count generic points of P^2 x P^(2k+1)."""
-    return [sample_point(rng, PointConstraint.GENERIC, 2, 2 * k + 1)
-            for _ in range(count)]
+def random_points(rng: SeededRng, count: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The u, shape (count, 3), and v, shape (count, 2k+2), of count generic
+    points of P^2 x P^(2k+1)."""
+    return sample_points(rng, (PointConstraint.GENERIC,) * count, 2, 2 * k + 1)
 
 
 def strassen_matrix(t: SymTensor3) -> DenseMatrix:
-    p = t.field.p
     P, Q, R = t.slices
-    w = P.shape[0]
-    z = np.zeros((w, w), dtype=np.int64)
-    top = np.hstack([z, P, Q])
-    mid = np.hstack([(-P) % p, z, R])
-    bot = np.hstack([(-Q) % p, (-R) % p, z])
-    return DenseMatrix(np.vstack([top, mid, bot]), t.field)
+    z = np.zeros(P.shape, dtype=np.int64)
+    # DenseMatrix reduces the whole stack mod p, -P, -Q and -R included
+    return DenseMatrix(np.vstack([np.hstack([z, P, Q]), np.hstack([-P, z, R]),
+                                  np.hstack([-Q, -R, z])]), t.field)
 
 
-def pfaffian_certificate(points: Sequence[Point], k: int,
+def pfaffian_certificate(points: tuple[np.ndarray, np.ndarray], k: int,
                          field: PrimeField) -> int:
-    """Pf(S_phi) for phi the sum of the given decomposable points."""
+    """Pf(S_phi) for phi the sum of the decomposable points (u, v)."""
     return pfaffian(strassen_matrix(slices_from_points(points, k, field)))

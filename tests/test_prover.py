@@ -207,6 +207,26 @@ def test_r_induction_rule_used_on_super_side():
     check_proof(node, seed=0, trials=3)
 
 
+def _rules(node):
+    yield node.rule
+    for child in node.children:
+        yield from _rules(child)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_m1_chain_reaches_its_base_for_odd_n(n):
+    # a fresh prover's R_under chain for m = 1 and odd n runs down to
+    # (1, 1), which the search proves by a split: the window certificates
+    # anchor T(1, n; n+1) and T(1, n; n+2), with no rank leaf
+    for s in (n + 1, n + 2):
+        node = Prover(seed=0).prove(Statement(1, n, 2, s, 0))
+        assert node is not None
+        rules = list(_rules(node))
+        assert "base_rank_certificate" not in rules, (n, s)
+        assert f"R_induction(Runder(1,{n}))" in rules, (n, s)
+        check_proof(node, seed=0, trials=3)
+
+
 def test_store_keeps_first_proof():
     store = StatementStore()
     prover = Prover(store=store, seed=0)

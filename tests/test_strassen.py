@@ -10,9 +10,14 @@ from secantdim.field import (PRIMARY_PRIME, PrimeField, SeededRng, derive_seed,
 from secantdim.strassen import (SymTensor3, pfaffian_certificate,
                                 random_points, random_tensor,
                                 slices_from_points, strassen_matrix)
-from secantdim.tensorspace import Point
+from test_certificates import _ZeroedRng
 
 F = PrimeField(PRIMARY_PRIME)
+
+
+def _join(*runs):
+    """The (u, v) of the points of several runs, in order."""
+    return tuple(np.vstack(part) for part in zip(*runs))
 
 
 def test_symmetry_enforced():
@@ -39,8 +44,7 @@ def test_matrix_is_skew_with_zero_diagonal_blocks():
 
 
 def test_single_point_rank_two():
-    pt = Point((1, 2, 3), (1, 1, 0, 4))
-    t = slices_from_points([pt], 1, F)
+    t = slices_from_points((np.array([[1, 2, 3]]), np.array([[1, 1, 0, 4]])), 1, F)
     assert rank(strassen_matrix(t)) == 2
 
 
@@ -94,10 +98,10 @@ def test_pfaffian_degree():
 
 
 def test_point_shape_checked():
-    with pytest.raises(ValueError):
-        slices_from_points([Point((1, 2), (1, 0, 0, 1))], 1, F)
-    with pytest.raises(ValueError):
-        slices_from_points([Point((1, 2, 3), (1, 0, 0))], 1, F)
+    with pytest.raises(ValueError, match="wrong factor lengths"):
+        slices_from_points((np.array([[1, 2]]), np.array([[1, 0, 0, 1]])), 1, F)
+    with pytest.raises(ValueError, match="wrong factor lengths"):
+        slices_from_points((np.array([[1, 2, 3]]), np.array([[1, 0, 0]])), 1, F)
 
 
 @pytest.mark.parametrize("prime", [PRIMARY_PRIME, 3_037_000_493])
@@ -107,16 +111,19 @@ def test_slices_match_point_loop(prime):
     rng = SeededRng(derive_seed(13, "slices", prime), field)
     for k in range(0, 8):
         w = 2 * k + 2
-        top = Point((prime - 1,) * 3, (prime - 1,) * w)
-        for pts in (random_points(rng, 3 * k + 2, k), [top] * (3 * k + 2),
-                    random_points(rng, 2, k) + [top], []):
-            want = [[[sum(pt.u[a] * pt.v[i] * pt.v[j] for pt in pts) % prime
+        top = (np.full((1, 3), prime - 1), np.full((1, w), prime - 1))
+        for points in (random_points(rng, 3 * k + 2, k), _join(*[top] * (3 * k + 2)),
+                       _join(random_points(rng, 2, k), top), random_points(rng, 0, k)):
+            pts = list(zip(*(rows.tolist() for rows in points)))
+            want = [[[sum(u[a] * v[i] * v[j] for u, v in pts) % prime
                       for j in range(w)] for i in range(w)] for a in range(3)]
-            got = slices_from_points(pts, k, field)
+            got = slices_from_points(points, k, field)
             assert [sl.tolist() for sl in got.slices] == want, (k, len(pts))
-        bad = random_points(rng, 2, k) + [Point((1, 2, 3), (1,) * (w - 1))]
+        u, v = random_points(rng, 3, k)
         with pytest.raises(ValueError, match="wrong factor lengths"):
-            slices_from_points(bad, k, field)
+            slices_from_points((u, v[:, 1:]), k, field)
+        with pytest.raises(ValueError, match="wrong factor lengths"):
+            slices_from_points((u[:, 1:], v), k, field)
 
 
 # md5 of the (u, v) of every point random_points draws below.  A change to
@@ -127,6 +134,36 @@ POINTS_PIN_MD5 = "7c90590ef4413a39b38298058f9ee57d"
 
 def test_random_points_are_pinned():
     rng = SeededRng(derive_seed(5, "strassen-pin"), F)
-    pts = [(pt.u, pt.v) for k in range(1, 8)
-           for pt in random_points(rng, 3 * k + 2, k)]
+    pts = [(tuple(u), tuple(v)) for k in range(1, 8)
+           for u, v in zip(*(rows.tolist()
+                             for rows in random_points(rng, 3 * k + 2, k)))]
     assert hashlib.md5(repr(pts).encode()).hexdigest() == POINTS_PIN_MD5
+
+
+# md5 of the three slices of every tensor random_tensor draws below: a
+# change to how the slices are drawn from the stream shows here.
+TENSOR_PIN_MD5 = "5876437af2463c07c3114d5bf7f7fe10"
+
+
+def test_random_tensors_are_pinned():
+    rng = SeededRng(derive_seed(6, "strassen-tensor-pin"), F)
+    slices = [[sl.tolist() for sl in random_tensor(rng, k).slices]
+              for k in range(1, 8)]
+    assert hashlib.md5(repr(slices).encode()).hexdigest() == TENSOR_PIN_MD5
+
+
+def test_zero_factor_is_kept_as_drawn():
+    """A zero u or v in random_points' one stream call comes back as drawn,
+    and the stream moves on by that call alone.  The point only drops its
+    term from phi, so the Pfaffian of 3k+2 terms still vanishes."""
+    k = 2
+    s, w = 3 * k + 2, 2 * k + 2
+    # the second point's u, and its v
+    for zeroed, part in ((slice(3 + w, 6 + w), 0), (slice(6 + w, 6 + 2 * w), 1)):
+        for seed in range(3):
+            rng, plain = _ZeroedRng(seed, F, zeroed), SeededRng(seed, F)
+            got, want = random_points(rng, s, k), random_points(plain, s, k)
+            want[part][1] = 0
+            assert all(np.array_equal(g, h) for g, h in zip(got, want))
+            assert rng.calls == 1 and rng.elements(1) == plain.elements(1)
+            assert pfaffian_certificate(got, k, F) == 0, (zeroed, seed)
