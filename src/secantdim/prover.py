@@ -42,9 +42,11 @@ The store indexes proved statements per (m, n, d) family, sorted by (s, t),
 with both abundance tests taken at insertion.  A monotone anchor comes from
 the statement's own family, where sorted-key order is (s, t) order, so the
 first match is the one a sorted walk over the whole store finds: proof trees
-do not depend on the index.  A deficiency entry proves nothing; it only
-spares a rank leaf a re-measurement that, under the same seed
-(prover seed, "rank", key), would repeat the verdict.
+do not depend on the index.  A window chain records its threshold statement
+in that family, so a chain anchors a statement through the same lookup, the
+one place the search applies monotonicity.  A deficiency entry proves
+nothing; it only spares a rank leaf a re-measurement that, under the same
+seed (prover seed, "rank", key), would repeat the verdict.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ from dataclasses import asdict, dataclass
 from .bounds import (Abundance, Statement, classify, expected_dim,
                      is_subabundant, is_superabundant, m0_rank, s_over,
                      s_under)
-from .certificates import (OUTCOME_TRUE, certify_R_over, certify_R_under,
-                           eval_statement)
+from .certificates import (OUTCOME_TRUE, DomainError, certify_R_over,
+                           certify_R_under, eval_statement)
 from .field import PrimeField, derive_seed
 
 UNKNOWN = "unknown"
@@ -150,11 +152,6 @@ def _cert_seed(seed: int, *parts) -> int:
     return derive_seed(seed, "prover", *parts)
 
 
-def _from_anchor(st: Statement, rule: str, anchor: ProofNode) -> ProofNode:
-    """The anchor itself when it proves st, else st by monotonicity from it."""
-    return anchor if anchor.statement == st else ProofNode(st, rule, (anchor,))
-
-
 class Prover:
     def __init__(self, store: StatementStore | None = None, seed: int = 0,
                  trials: int = 3, field: PrimeField = PrimeField()):
@@ -184,7 +181,8 @@ class Prover:
             return self._record(st, ProofNode(st, "clamp_trivial"))
 
         if st.m == 0:
-            return self._m0_base(st)
+            return self._record(st, ProofNode(st, "base_AH") if _m0_truth(st)
+                                else None)
 
         node = self._monotone_from_store(st)
         if node is None:
@@ -195,15 +193,10 @@ class Prover:
             return self._record(st, node)
         return self._rank_leaf(st)
 
-    def _record(self, st: Statement, node: ProofNode) -> ProofNode:
+    def _record(self, st: Statement, node: ProofNode | None) -> ProofNode | None:
+        """Store node as st's proof, or None as deficiency evidence."""
         self.store.put(st, node)
         return node
-
-    def _m0_base(self, st: Statement) -> ProofNode | None:
-        if _m0_truth(st):
-            return self._record(st, ProofNode(st, "base_AH"))
-        self.store.put(st, None)
-        return None
 
     def _monotone_from_store(self, st: Statement) -> ProofNode | None:
         for s, t, sub, sup, node in self.store.family(st):
@@ -245,22 +238,18 @@ class Prover:
         return None
 
     def _anchor(self, st: Statement) -> ProofNode | None:
+        """Build the one window chain whose threshold can anchor st (s_under
+        < s_over; for m = 1 the threshold n + 1 is equiabundant, so it
+        anchors both sides), then look st up in the store."""
         m, n = st.m, st.n
-        if st.t == 0 and m <= n + 2 and 1 <= st.s <= s_under(m, n):
-            anchor = self._window_chain("Runder", m, n)
-            if anchor is not None:
-                return _from_anchor(st, "subabundant_monotone", anchor)
-        if m >= 2 and st.s >= s_over(m, n):
-            anchor = self._window_chain("Rover", m, n)
-            if anchor is not None:
-                return _from_anchor(st, "superabundant_monotone", anchor)
-        # m = 1: the subabundant threshold n + 1 is equiabundant, so it
-        # anchors the superabundant side as well.
-        if m == 1 and st.s >= n + 1:
-            anchor = self._window_chain("Runder", 1, n)
-            if anchor is not None:
-                return _from_anchor(st, "superabundant_monotone", anchor)
-        return None
+        if ((st.t == 0 and m <= n + 2 and 1 <= st.s <= s_under(m, n))
+                or (m == 1 and st.s >= n + 1)):
+            self._window_chain("Runder", m, n)
+        elif m >= 2 and st.s >= s_over(m, n):
+            self._window_chain("Rover", m, n)
+        else:
+            return None
+        return self.store.proof(st) or self._monotone_from_store(st)
 
     def _window_chain(self, kind: str, m: int, n: int) -> ProofNode | None:
         """Prove T(m, n; 1, 2; s) at s = s_under(m, n) (kind "Runder") or
@@ -295,10 +284,8 @@ class Prover:
             return None
         verdict = eval_statement(st, _cert_seed(self.seed, "rank", *st.key),
                                  self.trials, self.field)
-        if verdict.outcome == OUTCOME_TRUE:
-            return self._record(st, ProofNode(st, "base_rank_certificate"))
-        self.store.put(st, None)
-        return None
+        return self._record(st, ProofNode(st, "base_rank_certificate")
+                            if verdict.outcome == OUTCOME_TRUE else None)
 
 
 class ProofCheckError(AssertionError):
@@ -392,12 +379,17 @@ def check_proof(node: ProofNode, seed: int = 0, trials: int = 3,
             fail("window chain at the wrong threshold")
         if len(node.children) != 1:
             fail("window chain needs one child")
+        if cn < 2:
+            fail("window chain below n = 2")
         child = node.children[0].statement
         want = Statement(cm, cn - 2, 2, threshold(cm, cn - 2), 0)
         if child != want:
             fail("window chain child mismatch")
         cert = certify_R_under if kind == "Runder" else certify_R_over
-        verdict = cert(cm, cn, _cert_seed(seed, kind, cm, cn), trials, field)
+        try:
+            verdict = cert(cm, cn, _cert_seed(seed, kind, cm, cn), trials, field)
+        except DomainError as exc:
+            fail(f"window certificate outside its domain ({exc})")
         if verdict.outcome != OUTCOME_TRUE:
             fail("window certificate does not reproduce")
         check_proof(node.children[0], seed, trials, field)

@@ -187,7 +187,14 @@ def run_scan(max_m: int, max_n: int, seed: int = 0,
         if cache_path and groups:
             out = stack.enter_context(open(cache_path, "a+", encoding="ascii"))
             out.seek(0)
-            out.truncate(out.read().rfind("\n") + 1)  # cut a torn last line
+            text = out.read()
+            keep = text.rfind("\n") + 1
+            try:  # a last record missing only its newline is kept
+                json.loads(text[keep:])
+            except ValueError:
+                out.truncate(keep)  # cut a torn last line
+            else:
+                out.write("\n")
         for group in fresh:  # grid order: written once it and all before it are done
             for rec in group:
                 if out is not None:

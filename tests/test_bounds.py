@@ -94,6 +94,8 @@ def test_threshold_identities():
     for m in range(1, 7):
         for n in range(1, 41):
             assert s_under(m, n) <= q_bound(m, n) <= s_over(m, n), (m, n)
+            if m >= 2:  # so the prover builds at most one chain per query
+                assert s_under(m, n) < s_over(m, n), (m, n)
             if n > 2 and m <= n:
                 assert s_under(m, n) - (m + 1) == s_under(m, n - 2), (m, n)
             if n > r_bound(m, n):

@@ -166,6 +166,14 @@ _REJECTIONS = [
     (_with(_SPLIT, rule="split(0,1,3,1)"), None, "split arithmetic broken"),
     (_with(_SPLIT, rule="split(0,0,2,2)"), None, "split children mismatch"),
     (_n((1, 2, 2, 1, 0), "rank_certificate"), None, "unknown rule"),
+    # forged chains outside the certificates' domains
+    (_n((1, 1, 2, 2, 0), "R_induction(Runder(1,1))", _AH), None,
+     "window chain below n = 2"),
+    (_n((1, 4, 2, 5, 0), "R_induction(Rover(1,4))",
+        _n((1, 2, 2, 3, 0), "R_induction(Runder(1,2))")), None,
+     "window certificate outside its domain"),
+    (_n((4, 3, 2, 2, 0), "R_induction(Runder(4,3))", _n((4, 1, 2, 0, 0), "clamp_trivial")),
+     None, "window certificate outside its domain"),
 ]
 
 
@@ -225,6 +233,23 @@ def test_m1_chain_reaches_its_base_for_odd_n(n):
         assert "base_rank_certificate" not in rules, (n, s)
         assert f"R_induction(Runder(1,{n}))" in rules, (n, s)
         check_proof(node, seed=0, trials=3)
+
+
+def test_search_without_window_certificates(monkeypatch):
+    # with both window certificates failing, the search builds no chain and
+    # still proves these queries by other rules, each a tree check_proof accepts
+    monkeypatch.setattr(prover_module, "certify_R_under", _not_true)
+    monkeypatch.setattr(prover_module, "certify_R_over", _not_true)
+    prover = Prover(seed=0)
+    nodes = [prover.prove(Statement(m, n, 2, s, 0))
+             for m, n, s in ((2, 6, 9), (3, 7, 15), (1, 5, 6), (1, 5, 7))]
+    monkeypatch.undo()
+    assert None not in nodes
+    for node in nodes:
+        assert not any(rule.startswith("R_induction") for rule in _rules(node))
+        check_proof(node, seed=0)
+    entries = [node for node in prover.store._entries.values() if node is not None]
+    assert not any(node.rule.startswith("R_induction") for node in entries)
 
 
 def test_store_keeps_first_proof():

@@ -308,6 +308,21 @@ def test_cache_resume_after_torn_last_line(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_cache_keeps_a_last_record_missing_only_its_newline(tmp_path):
+    cache = tmp_path / "cells.jsonl"
+    run_scan(2, 2, seed=1, cache_path=str(cache))
+    text = cache.read_text()
+    assert len(text.splitlines()) == 16
+    cache.write_text(text[:-1])  # interrupted between a record and its newline
+    wider = run_scan(2, 3, seed=1, cache_path=str(cache))
+    assert len(wider) == 27
+    lines = cache.read_text().splitlines()
+    assert len(lines) == 27 and lines[15] == text.splitlines()[15]
+    cached = sorted(load_cache(str(cache)).values(),
+                    key=lambda r: (r["m"], r["n"], r["s"]))
+    assert _without_ms(cached) == _without_ms(wider)
+
+
 def test_cache_bad_inner_line_raises(tmp_path):
     cache = tmp_path / "cells.jsonl"
     run_scan(1, 2, seed=0, trials=2, cache_path=str(cache))
